@@ -53,7 +53,13 @@ def _load_grid(path: str) -> tuple[StructureSpec, CellSet]:
         infected = obj["infected"]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"grid file {path!r} missing field: {exc}") from exc
-    return spec, CellSet.from_json(spec.shape, infected)
+    try:
+        cells = CellSet.from_json(spec.shape, infected)
+    except DomainError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"grid file {path!r} has bad 'infected' cells: {exc}") from exc
+    return spec, cells
 
 
 def _parse_rect(text: str) -> Rectangle:

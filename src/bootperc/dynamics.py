@@ -1,9 +1,9 @@
 """Closure computation and the percolation / crossing / gap predicates.
 
 The closure is computed with per-vertex infected-neighbor counters and a
-frontier queue: every vertex enters the frontier at most once, so the total
-work is O(|V| * max degree).  The fixed point is independent of update
-order.
+frontier queue.  Every vertex enters the frontier at most once, but every
+round also runs an O(|V|) bincount and threshold test, so the total work is
+O(|V| * rounds).  The fixed point is independent of update order.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .structures import (
     DomainError,
     Rectangle,
     StructureSpec,
+    column_thresholds,
     grid_tables,
     threshold_table,
 )
@@ -62,7 +63,11 @@ TOP_TO_BOTTOM = CrossDirection(2, True)
 
 
 def _closure_flat(nbrs: np.ndarray, thresholds: np.ndarray, infected: np.ndarray) -> np.ndarray:
-    """Counter/frontier closure on a flat grid; mutates and returns infected."""
+    """Counter/frontier closure on a flat grid; mutates and returns infected.
+
+    Each round costs O(|V|) for its bincount and threshold test, so the
+    total work is O(|V| * rounds).
+    """
     size = infected.size
     counts = np.zeros(size, dtype=np.int64)
     frontier = np.flatnonzero(infected)
@@ -134,12 +139,32 @@ def semi_percolates(spec: StructureSpec, cells: CellSet) -> bool:
     return bool(closed.mask[_base_layer_index(spec)].all())
 
 
-def _restricted_closure(shape: tuple[int, ...], region: np.ndarray,
-                        thresholds: np.ndarray, infected: np.ndarray) -> np.ndarray:
-    """Closure with adjacency restricted to ``region`` (flat bool mask)."""
-    nbrs, size = grid_tables(shape)
-    blocked = np.where(region, thresholds, np.int64(np.iinfo(np.int64).max))
-    return _closure_flat(nbrs, blocked, infected & region)
+def _check_event_inputs(spec: StructureSpec, rect: Rectangle, cells: CellSet) -> None:
+    """Shared input check of the crossing events: cells belong to spec and
+    R has arity d with 1 <= lo <= hi <= n."""
+    if cells.shape != spec.shape:
+        raise DomainError("cell set does not belong to this structure")
+    if len(rect.lo) != spec.d:
+        raise DomainError("rectangle arity does not match structure")
+    if not (all(a >= 1 for a in rect.lo) and all(b <= spec.n for b in rect.hi)):
+        raise DomainError("rectangle out of bounds")
+
+
+def _local_closure(spec: StructureSpec, infected: np.ndarray,
+                   region: np.ndarray | None = None) -> np.ndarray:
+    """Closure on a local grid of spec: any horizontal extent, full thickness.
+
+    With ``region`` (a bool mask of the same shape) adjacency is restricted
+    to it: cells outside never become infected and so never count.
+    """
+    shape = infected.shape
+    thresholds = np.tile(column_thresholds(spec), prod(shape[:spec.d]))
+    infected = infected.ravel()
+    if region is not None:
+        thresholds = np.where(region.ravel(), thresholds, np.iinfo(np.int64).max)
+        infected = infected & region.ravel()
+    nbrs, _ = grid_tables(shape)
+    return _closure_flat(nbrs, thresholds, infected).reshape(shape)
 
 
 def is_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
@@ -151,12 +176,7 @@ def is_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
         raise DomainError("crossing is defined for slab structures")
     if spec.d != 2:
         raise DomainError("crossing requires d = 2")
-    if cells.shape != spec.shape:
-        raise DomainError("cell set does not belong to this structure")
-    if len(rect.lo) != spec.d:
-        raise DomainError("rectangle arity does not match structure")
-    if not (all(a >= 1 for a in rect.lo) and all(b <= spec.n for b in rect.hi)):
-        raise DomainError("rectangle out of bounds")
+    _check_event_inputs(spec, rect, cells)
     ax = direction.axis - 1
     if not 0 <= ax < spec.d:
         raise DomainError("crossing axis out of range")
@@ -165,7 +185,6 @@ def is_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
     dims = list(rect.dim) + [spec.k] * spec.ell
     dims[ax] += 1
     shape = tuple(dims)
-    size = prod(shape)
     ghost_local = 0 if not direction.reverse else shape[ax] - 1
     entry_local = 1 if not direction.reverse else shape[ax] - 2
     exit_local = shape[ax] - 1 if not direction.reverse else 0
@@ -175,11 +194,6 @@ def is_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
     def axis_layer(i: int) -> tuple:
         return (slice(None),) * ax + (i,) + (slice(None),) * (len(shape) - ax - 1)
 
-    # Offset of local (0-based) to absolute (1-based) coordinates.
-    offs = list(rect.lo) + [1] * spec.ell
-    if not direction.reverse:
-        offs[ax] -= 1  # ghost layer sits below lo along the axis
-
     infected = np.zeros(shape, dtype=bool)
     src = tuple(slice(a - 1, a - 1 + s) for a, s in zip(rect.lo, rect.dim)) \
         + (slice(None),) * spec.ell
@@ -188,21 +202,9 @@ def is_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
     infected[tuple(dest)] = cells.mask[src]
     infected[axis_layer(ghost_local)] = True
 
-    # Thresholds depend only on the thickness coordinates.
-    if spec.ell:
-        thick = np.indices((spec.k,) * spec.ell).reshape(spec.ell, -1) + 1
-        extra = ((thick != 1) & (thick != spec.k)).sum(axis=0)
-    else:
-        extra = np.zeros(1, dtype=int)
-    per_column = (spec.r + extra).astype(np.int64)
-    thresholds = np.tile(per_column, prod(shape[:spec.d]))
-
-    nbrs, _ = grid_tables(shape)
-    closed = _closure_flat(nbrs, thresholds, infected.ravel()).reshape(shape)
-
-    inside = closed.copy()
-    inside[axis_layer(ghost_local)] = False
-    labels, _ = ndimage.label(inside)
+    closed = _local_closure(spec, infected)
+    closed[axis_layer(ghost_local)] = False
+    labels, _ = ndimage.label(closed)
     entry_labels = np.unique(labels[axis_layer(entry_local)])
     exit_labels = np.unique(labels[axis_layer(exit_local)])
     hit = np.intersect1d(entry_labels, exit_labels)
@@ -219,60 +221,39 @@ def is_semi_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
     """
     if spec.family != STAR:
         raise DomainError("semi-crossing is defined for star structures")
-    if cells.shape != spec.shape:
-        raise DomainError("cell set does not belong to this structure")
-    if len(rect.lo) != spec.d:
-        raise DomainError("rectangle arity does not match structure")
+    _check_event_inputs(spec, rect, cells)
     ax = axis - 1
     if not 0 <= ax < spec.d:
         raise DomainError("semi-crossing axis out of range")
 
     lo, hi = list(rect.lo), list(rect.hi)
-    has_minus = lo[ax] > 1
-    has_plus = hi[ax] < spec.n
-    glo = lo.copy()
-    ghi = hi.copy()
-    if has_minus:
-        glo[ax] -= 1
-    if has_plus:
-        ghi[ax] += 1
-    shape = tuple(b - a + 1 for a, b in zip(glo, ghi)) + (2,) * spec.ell
-    base = tuple(glo) + (1,) * spec.ell  # absolute coordinate of local origin
+    glo, ghi = lo.copy(), hi.copy()  # R plus the fringes that lie in [n]^d
+    glo[ax] = max(lo[ax] - 1, 1)
+    ghi[ax] = min(hi[ax] + 1, spec.n)
+    shape = tuple(b - a + 1 for a, b in zip(glo, ghi)) + (spec.k,) * spec.ell
 
     def absolute_block(alo: Sequence[int], ahi: Sequence[int], top_only: bool) -> tuple:
-        sl = tuple(slice(a - b, h - b + 1) for a, h, b in zip(alo, ahi, base[:spec.d]))
+        sl = tuple(slice(a - g, h - g + 1) for a, h, g in zip(alo, ahi, glo))
         sl += ((0,) if top_only else (slice(None),)) * spec.ell
         return sl
 
+    def fringe(at: int) -> np.ndarray:
+        """Base layer of R's slice at ``at`` along the axis; empty outside [n]."""
+        mask = np.zeros(shape, dtype=bool)
+        if 1 <= at <= spec.n:
+            flo, fhi = lo.copy(), hi.copy()
+            flo[ax] = fhi[ax] = at
+            mask[absolute_block(flo, fhi, top_only=True)] = True
+        return mask
+
     region = np.zeros(shape, dtype=bool)
     region[absolute_block(lo, hi, top_only=False)] = True
-    fringe_minus = np.zeros(shape, dtype=bool)
-    if has_minus:
-        flo, fhi = lo.copy(), hi.copy()
-        flo[ax] = fhi[ax] = lo[ax] - 1
-        fringe_minus[absolute_block(flo, fhi, top_only=True)] = True
-    fringe_plus = np.zeros(shape, dtype=bool)
-    if has_plus:
-        flo, fhi = lo.copy(), hi.copy()
-        flo[ax] = fhi[ax] = hi[ax] + 1
-        fringe_plus[absolute_block(flo, fhi, top_only=True)] = True
+    fringe_minus, fringe_plus = fringe(lo[ax] - 1), fringe(hi[ax] + 1)
 
-    local_a = np.zeros(shape, dtype=bool)
     src = tuple(slice(a - 1, b) for a, b in zip(glo, ghi)) + (slice(None),) * spec.ell
-    local_a[...] = cells.mask[src]
-
-    infected = (local_a & (region | fringe_plus)) | fringe_minus
-    full_region = region | fringe_plus | fringe_minus
-
-    thick = np.indices((2,) * spec.ell).reshape(spec.ell, -1)
-    extra = np.where((thick == 0).all(axis=0), 0, spec.ell) if spec.ell \
-        else np.zeros(1, dtype=int)
-    thresholds = np.tile((spec.r + extra).astype(np.int64), prod(shape[:spec.d]))
-
-    closed = _restricted_closure(shape, full_region.ravel(),
-                                 thresholds, infected.ravel()).reshape(shape)
-    target = absolute_block(lo, hi, top_only=True)
-    return bool(closed[target].all())
+    infected = (cells.mask[src] & (region | fringe_plus)) | fringe_minus
+    closed = _local_closure(spec, infected, region | fringe_plus | fringe_minus)
+    return bool(closed[absolute_block(lo, hi, top_only=True)].all())
 
 
 def has_double_gap(dims: Sequence[int], cells, axes: Iterable[int] | None = None) -> bool:

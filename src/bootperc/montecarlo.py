@@ -3,15 +3,13 @@ probabilities, plus the sweep runner.
 
 Per-trial randomness comes from a counter-style Philox stream keyed on
 (master seed, trial index), so estimates are reproducible regardless of
-execution order or degree of parallelism.
+execution order.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,59 +156,44 @@ def sample_bin(region, p: float, rng: np.random.Generator) -> CellSet:
     return CellSet.from_mask((u < p).reshape(shape))
 
 
-def _default_workers() -> int:
-    env = os.environ.get("BOOTPERC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"BOOTPERC_THREADS = {env!r} is not an integer")
-    return 1
-
-
 def estimate_event_prob(event: EventSpec, p: float, trials: int,
-                        master_seed: int, workers: int | None = None) -> Estimate:
+                        master_seed: int) -> Estimate:
     """Estimate P(event) at density p over independent seeded trials."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p = {p} outside [0, 1]")
-    workers = workers if workers is not None else _default_workers()
     spec = event.structure
-
-    def run(trial: int) -> bool:
-        cells = sample_bin(spec, p, trial_rng(master_seed, trial))
-        return event.evaluate(cells)
-
-    if workers <= 1:
-        successes = sum(run(t) for t in range(trials))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(run, range(trials)))
+    successes = sum(event.evaluate(sample_bin(spec, p, trial_rng(master_seed, t)))
+                    for t in range(trials))
     low, high = wilson_interval(successes, trials)
     return Estimate(successes / trials, trials, low, high, master_seed)
 
 
 def estimate_p_alpha(spec: StructureSpec, event, alpha: float,
-                     trials_per_eval: int, seed: int, p_tol: float,
-                     workers: int | None = None) -> Estimate:
+                     trials_per_eval: int, seed: int, p_tol: float) -> Estimate:
     """Stochastic bisection for p_alpha = inf{p : P(event at p) >= alpha}.
 
-    Each midpoint gets a fresh derived seed; the returned interval is the
-    final bisection bracket, not a guaranteed confidence interval.
+    ``event`` is an event kind on ``spec`` or an EventSpec whose structure
+    must be ``spec``.  Each midpoint gets a fresh derived seed; the returned
+    interval is the final bisection bracket, not a guaranteed confidence
+    interval.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
     if not p_tol > 0.0:
         raise DomainError("p_tol must be positive")
-    event = event if isinstance(event, EventSpec) else EventSpec(event, spec)
+    if not isinstance(event, EventSpec):
+        event = EventSpec(event, spec)
+    elif event.structure != spec:
+        raise DomainError(f"event is on {event.structure}, not on {spec}")
     lo, hi = 0.0, 1.0
     evals = 0
     total = 0
     while hi - lo >= p_tol:
         mid = 0.5 * (lo + hi)
         est = estimate_event_prob(event, mid, trials_per_eval,
-                                  derive_seed(seed, evals), workers)
+                                  derive_seed(seed, evals))
         evals += 1
         total += trials_per_eval
         if est.p_hat >= alpha:
@@ -222,7 +205,12 @@ def estimate_p_alpha(spec: StructureSpec, event, alpha: float,
 
 def estimate_lgap(ell: int, m: int, u: float, trials: int, master_seed: int) -> Estimate:
     """Directly simulate the no-L-gap event on m+1 primary and ell*m
-    secondary independent indicators of probability u."""
+    secondary independent indicators of probability u.
+
+    Unlike the per-trial keyed streams of the other estimators, this draws
+    one stream in chunks of 1 << 14 trials, so its result for a given seed
+    depends on that internal chunk size.
+    """
     if ell < 0 or m < 0:
         raise DomainError("ell and m must be >= 0")
     if not 0.0 <= u <= 1.0:
@@ -295,8 +283,7 @@ SWEEP_COLUMNS = ["family", "n", "d", "ell", "k", "r", "event", "p",
                  "trials", "pHat", "ciLow", "ciHigh", "seed"]
 
 
-def run_sweep(config: SweepConfig, out_path: str | None = None,
-              workers: int | None = None) -> list[dict]:
+def run_sweep(config: SweepConfig, out_path: str | None = None) -> list[dict]:
     """Evaluate every grid point; stream rows to CSV if a path is given."""
     out_path = out_path or config.output
     rows = []
@@ -313,8 +300,7 @@ def run_sweep(config: SweepConfig, out_path: str | None = None,
         for idx, point in enumerate(config.points):
             seed = derive_seed(config.master_seed, idx)
             try:
-                est = estimate_event_prob(point.event, point.p, point.trials,
-                                          seed, workers)
+                est = estimate_event_prob(point.event, point.p, point.trials, seed)
             except Exception as exc:
                 raise type(exc)(f"sweep point {idx} ({point.event.kind}, "
                                 f"p={point.p}): {exc}") from exc

@@ -6,6 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .structures import (
     CellSet,
@@ -14,8 +15,6 @@ from .structures import (
     Rectangle,
     StructureSpec,
     bounding_rectangle,
-    components,
-    diameter,
     grid_tables,
     neighbors,
     projection,
@@ -34,9 +33,11 @@ class SpanResult:
 
 
 def _span_rectangles(spec: StructureSpec, cells: CellSet) -> list[Rectangle]:
-    closed = closure(spec, cells)
-    proj = projection(spec, closed)
-    return [bounding_rectangle(comp) for comp in components((spec.n,) * spec.d, proj)]
+    """Bounding rectangles of the components of the projected closure, in
+    label order, which is the order of each component's least member."""
+    labels, _ = ndimage.label(projection(spec, closure(spec, cells)).mask)
+    return [Rectangle(tuple(s.start + 1 for s in box), tuple(s.stop for s in box))
+            for box in ndimage.find_objects(labels)]
 
 
 def span_direct(spec: StructureSpec, cells: CellSet) -> SpanResult:
@@ -170,14 +171,15 @@ def find_spanned_component(spec: StructureSpec, cells: CellSet, length: int) -> 
         counts += np.bincount(touched[touched >= 0], minlength=size)
 
     def witness() -> CellSet | None:
-        current = CellSet.from_mask(infected.reshape(spec.shape).copy())
-        for comp in components(spec, current):
-            dia = diameter(spec, comp)
-            if length <= dia <= 2 * length:
-                part = CellSet.from_mask(cells.mask & comp.mask)
-                filled = closure(spec, part)
-                if bool((comp.mask & ~filled.mask).sum() == 0):
-                    return comp
+        # Components in least-member order; a component's diameter is the
+        # longest side of its bounding box.
+        labels, _ = ndimage.label(infected.reshape(spec.shape))
+        for lab, box in enumerate(ndimage.find_objects(labels), start=1):
+            if length <= max(s.stop - s.start for s in box) <= 2 * length:
+                comp = labels == lab
+                filled = closure(spec, CellSet.from_mask(cells.mask & comp))
+                if not (comp & ~filled.mask).any():
+                    return CellSet.from_mask(comp)
         return None
 
     found = witness()

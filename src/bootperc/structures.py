@@ -29,6 +29,12 @@ STAR = "star"
 SLAB = "slab"
 
 
+# Largest vertex count a structure may have.  Its flat neighbour table
+# (grid_tables) takes 16 * (d + ell) bytes per vertex, 64 MiB * (d + ell) at
+# this cap.
+MAX_VERTICES = 1 << 22
+
+
 class DomainError(ValueError):
     """Invalid argument: out-of-bounds coordinate, bad parameter, etc."""
 
@@ -59,6 +65,10 @@ class StructureSpec:
             raise DomainError("star structures have thickness side 2")
         if self.family == SLAB and self.k < 2:
             raise DomainError("slab structures need k >= 2")
+        # Exponents capped at 64 keep the count cheap for a huge d or ell;
+        # any side >= 2 raised to 64 already exceeds the cap.
+        if self.n ** min(self.d, 64) * self.k ** min(self.ell, 64) > MAX_VERTICES:
+            raise DomainError(f"structure has more than {MAX_VERTICES} vertices")
 
     @staticmethod
     def plain(n: int, d: int, r: int) -> "StructureSpec":
@@ -104,12 +114,12 @@ class StructureSpec:
         try:
             family = obj["family"]
             n, d, r = int(obj["n"]), int(obj["d"]), int(obj["r"])
+            ell = int(obj.get("ell", 0))
+            k = int(obj.get("k", 2 if family == STAR else 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad structure JSON: {exc}") from exc
-        ell = int(obj.get("ell", 0))
         if family == PLAIN:
             return StructureSpec(PLAIN, n, d, r)
-        k = int(obj.get("k", 2 if family == STAR else 0))
         return StructureSpec(family, n, d, r, ell, k)
 
     def dumps(self) -> str:
@@ -261,12 +271,8 @@ def bounding_rectangle(cells: Iterable[Sequence[int]]) -> Rectangle:
 def threshold(spec: StructureSpec, v: Sequence[int]) -> int:
     """Infection threshold of vertex v under spec's family rules."""
     v = spec.validate_coord(v)
-    thick = v[spec.d:]
-    if spec.family == PLAIN:
-        return spec.r
-    if spec.family == STAR:
-        return spec.r if all(b == 1 for b in thick) else spec.r + spec.ell
-    return spec.r + sum(1 for b in thick if b not in (1, spec.k))
+    column = column_thresholds(spec).reshape((spec.k,) * spec.ell)
+    return int(column[tuple(b - 1 for b in v[spec.d:])])
 
 
 def neighbors(spec: StructureSpec, v: Sequence[int]) -> list[Coord]:
@@ -354,15 +360,25 @@ def grid_tables(shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
 
 
 @lru_cache(maxsize=64)
-def threshold_table(spec: StructureSpec) -> np.ndarray:
-    """Per-vertex thresholds of spec as a flat int array in canonical order."""
-    shape = spec.shape
-    if spec.family == PLAIN:
-        return np.full(prod(shape), spec.r, dtype=np.int64)
-    thick = np.indices((spec.k,) * spec.ell).reshape(spec.ell, -1) + 1
+def column_thresholds(spec: StructureSpec) -> np.ndarray:
+    """Thresholds of one thickness column, in canonical order of the k**ell
+    thickness coordinates: the only place the family rule is written.
+
+    The threshold is r plus an extra that depends only on the thickness
+    coordinates: ell off the base layer for star, one per interior
+    coordinate for slab, nothing for plain (whose single column has none).
+    """
+    thick = np.indices((spec.k,) * spec.ell).reshape(spec.ell, spec.k ** spec.ell) + 1
     if spec.family == STAR:
         extra = np.where((thick == 1).all(axis=0), 0, spec.ell)
     else:
         extra = ((thick != 1) & (thick != spec.k)).sum(axis=0)
-    per_column = spec.r + extra  # one entry per thickness combination
-    return np.tile(per_column, spec.n ** spec.d).astype(np.int64)
+    column = (spec.r + extra).astype(np.int64)
+    column.flags.writeable = False
+    return column
+
+
+@lru_cache(maxsize=64)
+def threshold_table(spec: StructureSpec) -> np.ndarray:
+    """Per-vertex thresholds of spec as a flat int array in canonical order."""
+    return np.tile(column_thresholds(spec), spec.n ** spec.d)

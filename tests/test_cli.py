@@ -160,3 +160,47 @@ def test_sweep_command(capsys, tmp_path):
     with open(out_file) as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 1 and rows[0]["event"] == "percolates"
+
+
+def assert_clean_config_error(code, out, err):
+    """Exit 1 with one stderr line and no traceback."""
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err + out
+
+
+def write_json(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_non_integer_ell_is_config_error(capsys, tmp_path):
+    grid = {"structure": {"family": "star", "n": 4, "d": 2, "r": 2, "ell": "one"},
+            "infected": []}
+    result = run(capsys, "closure", "--input", write_json(tmp_path, "g.json", grid))
+    assert_clean_config_error(*result)
+
+
+def test_non_list_infected_is_config_error(capsys, tmp_path):
+    grid = {"structure": {"family": "plain", "n": 4, "d": 2, "r": 2}, "infected": 5}
+    result = run(capsys, "closure", "--input", write_json(tmp_path, "g.json", grid))
+    assert_clean_config_error(*result)
+
+
+def test_structure_over_vertex_budget_is_config_error(capsys, tmp_path):
+    grid = {"structure": {"family": "plain", "n": 100000, "d": 3, "r": 3},
+            "infected": []}
+    result = run(capsys, "closure", "--input", write_json(tmp_path, "g.json", grid))
+    assert_clean_config_error(*result)
+    assert "vertices" in result[2]
+
+
+def test_semi_crossed_rectangle_out_of_bounds_is_config_error(capsys, tmp_path):
+    struct = write_json(tmp_path, "s.json",
+                        {"family": "star", "n": 6, "d": 2, "r": 2, "ell": 1})
+    result = run(capsys, "estimate", "--event", "semi-crossed",
+                 "--structure", struct, "--rect", "2,2,8,5", "--axis", "1",
+                 "--p", "0.3", "--trials", "5", "--seed", "1")
+    assert_clean_config_error(*result)
+    assert "out of bounds" in result[2]

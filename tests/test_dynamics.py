@@ -16,6 +16,7 @@ from bootperc.dynamics import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
     BOTTOM_TO_TOP,
+    TOP_TO_BOTTOM,
     CrossDirection,
     closure,
     closure_uniform,
@@ -47,7 +48,9 @@ SPECS = [
     StructureSpec.plain(5, 2, 2),
     StructureSpec.plain(3, 3, 3),
     StructureSpec.star(4, 2, 1, 2),
+    StructureSpec.star(3, 2, 2, 2),
     StructureSpec.slab(4, 2, 1, 3, 2),
+    StructureSpec.slab(3, 2, 2, 4, 2),
 ]
 
 
@@ -209,3 +212,131 @@ def test_has_double_gap_face_counts_as_empty():
 def test_has_double_gap_bad_axis():
     with pytest.raises(DomainError):
         has_double_gap((4, 4), CellSet((4, 4)), axes=[3])
+
+
+# --- Definition-level oracles for the crossing events -------------------------
+#
+# These work on sets of coordinate tuples with plain coordinate arithmetic, so
+# a ghost plane may sit at coordinate 0 or n + 1, outside the structure.
+
+
+def _nearby(v):
+    """The lattice points at distance one from v, with no bounds check."""
+    for ax in range(len(v)):
+        for delta in (-1, 1):
+            yield v[:ax] + (v[ax] + delta,) + v[ax + 1:]
+
+
+def _slice_cells(spec, lo, hi, base_only=False):
+    """Vertices whose horizontal part lies in [lo, hi], with every thickness
+    coordinate (or only the base layer, where all of them are 1)."""
+    thick = ([(1,) * spec.ell] if base_only
+             else list(itertools.product(range(1, spec.k + 1), repeat=spec.ell)))
+    horiz = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return {h + t for h in horiz for t in thick}
+
+
+def restricted_closure_oracle(spec, region, infected):
+    """Round-based closure in which only members of ``region`` count as
+    neighbours; every vertex of ``region`` outside ``infected`` lies in the
+    structure and uses its own threshold."""
+    infected = set(infected)
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(region - infected):
+            if sum(w in infected for w in _nearby(v)) >= threshold(spec, v):
+                infected.add(v)
+                changed = True
+    return infected
+
+
+def crossed_oracle(spec, rect, cells, direction):
+    """H(R): add a fully infected ghost plane next to the entry face, close
+    inside R plus the plane, and look for a path in the closure within R
+    from the entry face to the exit face."""
+    ax = direction.axis - 1
+    lo, hi = list(rect.lo), list(rect.hi)
+    entry, exit_ = (hi[ax], lo[ax]) if direction.reverse else (lo[ax], hi[ax])
+    glo, ghi = lo.copy(), hi.copy()
+    glo[ax] = ghi[ax] = entry + (1 if direction.reverse else -1)
+    ghost = _slice_cells(spec, glo, ghi)
+    inside = _slice_cells(spec, lo, hi)
+    closed = restricted_closure_oracle(spec, inside | ghost,
+                                       (set(cells) & inside) | ghost) - ghost
+    frontier = [v for v in closed if v[ax] == entry]
+    seen = set(frontier)
+    while frontier:
+        v = frontier.pop()
+        if v[ax] == exit_:
+            return True
+        for w in _nearby(v):
+            if w in closed and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return False
+
+
+def semi_crossed_oracle(spec, rect, cells, axis):
+    """Close (A cap (R u R^+)) u R^- inside R u R^+ u R^-, where R^- and R^+
+    are the base-layer slices just below and above R along ``axis`` (absent
+    outside [n]^d), and ask whether every threshold-r vertex of R is in it."""
+    ax = axis - 1
+    lo, hi = list(rect.lo), list(rect.hi)
+
+    def fringe(at):
+        if not 1 <= at <= spec.n:
+            return set()
+        flo, fhi = lo.copy(), hi.copy()
+        flo[ax] = fhi[ax] = at
+        return _slice_cells(spec, flo, fhi, base_only=True)
+
+    inside = _slice_cells(spec, lo, hi)
+    minus, plus = fringe(lo[ax] - 1), fringe(hi[ax] + 1)
+    closed = restricted_closure_oracle(spec, inside | minus | plus,
+                                       (set(cells) & (inside | plus)) | minus)
+    return all(v in closed for v in inside if threshold(spec, v) == spec.r)
+
+
+def _random_rectangle(rng, n, d):
+    lo = [int(rng.integers(1, n + 1)) for _ in range(d)]
+    hi = [int(rng.integers(a, n + 1)) for a in lo]
+    return Rectangle(tuple(lo), tuple(hi))
+
+
+@pytest.mark.parametrize("spec", [StructureSpec.slab(5, 2, 1, 3, 2),
+                                  StructureSpec.slab(4, 2, 2, 4, 2)],
+                         ids=lambda s: f"ell{s.ell}k{s.k}")
+@pytest.mark.parametrize("direction",
+                         [LEFT_TO_RIGHT, RIGHT_TO_LEFT, BOTTOM_TO_TOP, TOP_TO_BOTTOM],
+                         ids=lambda c: f"axis{c.axis}{'rev' if c.reverse else ''}")
+def test_is_crossed_matches_definition_oracle(spec, direction):
+    rng = np.random.default_rng([31, spec.ell, direction.axis, direction.reverse])
+    outcomes = []
+    for trial in range(40):
+        # Every fourth rectangle is the whole square, whose ghost plane lies
+        # at coordinate 0 or n + 1.
+        rect = (Rectangle((1, 1), (spec.n, spec.n)) if trial % 4 == 0
+                else _random_rectangle(rng, spec.n, spec.d))
+        cells = CellSet.from_mask(rng.random(spec.shape) < rng.uniform(0.0, 0.25))
+        got = is_crossed(spec, rect, cells, direction)
+        assert got == crossed_oracle(spec, rect, cells, direction), (rect, cells.coords())
+        outcomes.append(got)
+    assert len(set(outcomes)) == 2
+
+
+@pytest.mark.parametrize("spec", [StructureSpec.star(5, 2, 1, 2),
+                                  StructureSpec.star(4, 2, 2, 2)],
+                         ids=lambda s: f"ell{s.ell}")
+@pytest.mark.parametrize("axis", [1, 2])
+def test_is_semi_crossed_matches_definition_oracle(spec, axis):
+    rng = np.random.default_rng([37, spec.ell, axis])
+    outcomes = []
+    for trial in range(40):
+        rect = (Rectangle((1, 1), (spec.n, spec.n)) if trial % 4 == 0
+                else _random_rectangle(rng, spec.n, spec.d))
+        cells = CellSet.from_mask(rng.random(spec.shape) < rng.uniform(0.05, 0.6))
+        got = is_semi_crossed(spec, rect, cells, axis)
+        assert got == semi_crossed_oracle(spec, rect, cells, axis), (rect, cells.coords())
+        outcomes.append(got)
+    assert len(set(outcomes)) == 2

@@ -104,9 +104,6 @@ def test_estimate_event_prob_deterministic():
     b = estimate_event_prob(event, 0.45, 300, master_seed=11)
     assert a == b
     assert a.ci_low <= a.p_hat <= a.ci_high
-    # Same trials, more workers: identical result by construction.
-    c = estimate_event_prob(event, 0.45, 300, master_seed=11, workers=4)
-    assert c == a
 
 
 def test_estimate_event_prob_degenerate_densities():
@@ -130,6 +127,16 @@ def test_estimate_p_alpha_on_exact_oracle():
         estimate_p_alpha(spec, "percolates", 1.5, 10, 1, 0.1)
     with pytest.raises(DomainError):
         estimate_p_alpha(spec, "percolates", 0.5, 10, 1, 0.0)
+
+
+def test_estimate_p_alpha_refuses_event_on_another_structure():
+    spec = StructureSpec.plain(2, 2, 2)
+    same = EventSpec("percolates", StructureSpec.plain(2, 2, 2))
+    assert (estimate_p_alpha(spec, same, 0.5, 50, 3, 0.1)
+            == estimate_p_alpha(spec, "percolates", 0.5, 50, 3, 0.1))
+    other = EventSpec("percolates", StructureSpec.plain(3, 2, 2))
+    with pytest.raises(DomainError, match="not on"):
+        estimate_p_alpha(spec, other, 0.5, 50, 3, 0.1)
 
 
 def test_estimate_lgap_matches_exact():

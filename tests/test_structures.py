@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bootperc.structures import (
+    MAX_VERTICES,
     CellSet,
     DomainError,
     Rectangle,
@@ -29,6 +30,18 @@ def test_family_validation():
         StructureSpec("slab", 3, 2, 2, ell=1, k=1)
     with pytest.raises(DomainError):
         StructureSpec.plain(0, 2, 2)
+
+
+def test_vertex_budget():
+    assert StructureSpec.plain(2048, 2, 2).num_vertices == MAX_VERTICES
+    with pytest.raises(DomainError):
+        StructureSpec.plain(2049, 2, 2)
+    with pytest.raises(DomainError):
+        StructureSpec.plain(100000, 3, 3)
+    with pytest.raises(DomainError):
+        StructureSpec.star(2, 10 ** 9, 1, 2)
+    with pytest.raises(DomainError):
+        StructureSpec.slab(4, 2, 10 ** 9, 3, 2)
 
 
 def test_shape_and_counts():
@@ -162,6 +175,11 @@ def test_structure_json_roundtrip():
         assert StructureSpec.from_json(spec.to_json()) == spec
     with pytest.raises(DomainError):
         StructureSpec.from_json({"family": "plain"})
+    with pytest.raises(DomainError):
+        StructureSpec.from_json({"family": "star", "n": 4, "d": 2, "r": 2, "ell": "one"})
+    with pytest.raises(DomainError):
+        StructureSpec.from_json({"family": "slab", "n": 4, "d": 2, "r": 2, "ell": 1,
+                                 "k": [3]})
 
 
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=12))
