@@ -100,25 +100,21 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     """
     if t < 1:
         raise DomainError("uniform threshold must be >= 1")
+    if min(box.lo) < 1:
+        raise DomainError("box coordinates must be >= 1")
     dims = box.dim
     nbrs, size = grid_tables(dims)
     infected = np.zeros(size, dtype=bool)
-    shape = dims
-    coords = cells if not isinstance(cells, CellSet) else iter(cells)
-    for c in coords:
+    for c in cells:
         c = tuple(int(x) for x in c)
         if len(c) != len(dims):
             raise DomainError(f"coordinate {c} has wrong arity for the box")
         if box.contains(c):
             local = tuple(x - a for x, a in zip(c, box.lo))
-            infected[np.ravel_multi_index(local, shape)] = True
-    thresholds = np.full(size, t, dtype=np.int64)
-    infected = _closure_flat(nbrs, thresholds, infected)
+            infected[np.ravel_multi_index(local, dims)] = True
+    infected = _closure_flat(nbrs, np.full(size, t, dtype=np.int64), infected)
     out = CellSet(box.hi)
-    local_idx = np.array(np.unravel_index(np.flatnonzero(infected), shape))
-    offs = np.array(box.lo)[:, None] - 1  # to 0-based absolute
-    for col in (local_idx + offs).T:
-        out.mask[tuple(col)] = True
+    out.mask[tuple(slice(a - 1, b) for a, b in zip(box.lo, box.hi))] = infected.reshape(dims)
     return out
 
 

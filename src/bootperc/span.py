@@ -1,4 +1,4 @@
-"""The span <A>, the merge-based span algorithm, and witness finders."""
+"""The span <A>, the merge-based span algorithm on masks, and witness finders."""
 
 from __future__ import annotations
 
@@ -10,13 +10,10 @@ from scipy import ndimage
 
 from .structures import (
     CellSet,
-    Coord,
     DomainError,
     Rectangle,
     StructureSpec,
-    bounding_rectangle,
     grid_tables,
-    neighbors,
     projection,
     threshold_table,
 )
@@ -32,12 +29,16 @@ class SpanResult:
     creation_log: tuple[Rectangle, ...] = ()
 
 
+def _rectangle(box: tuple[slice, ...]) -> Rectangle:
+    """The 1-based inclusive rectangle of a 0-based ``find_objects`` box."""
+    return Rectangle(tuple(s.start + 1 for s in box), tuple(s.stop for s in box))
+
+
 def _span_rectangles(spec: StructureSpec, cells: CellSet) -> list[Rectangle]:
     """Bounding rectangles of the components of the projected closure, in
     label order, which is the order of each component's least member."""
     labels, _ = ndimage.label(projection(spec, closure(spec, cells)).mask)
-    return [Rectangle(tuple(s.start + 1 for s in box), tuple(s.stop for s in box))
-            for box in ndimage.find_objects(labels)]
+    return [_rectangle(box) for box in ndimage.find_objects(labels)]
 
 
 def span_direct(spec: StructureSpec, cells: CellSet) -> SpanResult:
@@ -45,34 +46,30 @@ def span_direct(spec: StructureSpec, cells: CellSet) -> SpanResult:
     return SpanResult(tuple(_span_rectangles(spec, cells)))
 
 
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """``mask`` grown by one nearest-neighbour step on its own grid."""
+    nbrs, _ = grid_tables(mask.shape)
+    out = mask.ravel().copy()
+    touched = nbrs[mask.ravel()].ravel()
+    out[touched[touched >= 0]] = True
+    return out.reshape(mask.shape)
+
+
 class _Piece:
-    """One piece of the merge algorithm: a subset of A with its closure."""
+    """One piece of the merge algorithm: a subset of A with its closure, as
+    masks.  ``reach`` is the closure and ``near`` the projected closure
+    ``proj``, each grown by one step."""
 
-    __slots__ = ("cells", "closed", "proj", "rect", "reach")
+    __slots__ = ("cells", "closed", "proj", "near", "rect", "reach")
 
-    def __init__(self, spec: StructureSpec, cells: frozenset[Coord]):
+    def __init__(self, spec: StructureSpec, cells: np.ndarray):
         self.cells = cells
-        self.closed = frozenset(closure(spec, CellSet(spec.shape, cells)))
-        self.proj = frozenset(c[:spec.d] for c in self.closed)
-        self.rect = bounding_rectangle(self.proj)
-        # Closure dilated by one step, for the interaction-pruning test.
-        reach = set(self.closed)
-        for c in self.closed:
-            reach.update(neighbors(spec, c))
-        self.reach = frozenset(reach)
-
-
-def _touching(spec: StructureSpec, a: _Piece, b: _Piece) -> bool:
-    """True iff the union of the two projected closures is connected."""
-    small, big = (a, b) if len(a.proj) <= len(b.proj) else (b, a)
-    for c in small.proj:
-        if c in big.proj:
-            return True
-        for ax in range(spec.d):
-            for delta in (-1, 1):
-                if c[:ax] + (c[ax] + delta,) + c[ax + 1:] in big.proj:
-                    return True
-    return False
+        closed = closure(spec, CellSet.from_mask(cells))
+        self.closed = closed.mask
+        self.proj = projection(spec, closed).mask
+        self.near = _dilate(self.proj)
+        self.reach = _dilate(self.closed)
+        self.rect = _rectangle(ndimage.find_objects(self.proj.view(np.int8))[0])
 
 
 def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
@@ -87,12 +84,16 @@ def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
 
     ``exhaustive=True`` disables the interaction-proximity pruning in (b).
     """
-    pieces: list[_Piece] = [_Piece(spec, frozenset([c])) for c in cells]
+    # Singletons in canonical (flat) order.
+    flat_ids = np.arange(cells.mask.size).reshape(cells.shape)
+    pieces = [_Piece(spec, flat_ids == v) for v in np.flatnonzero(cells.mask)]
     log: list[Rectangle] = [p.rect for p in pieces]
 
+    def union(indices: tuple[int, ...]) -> np.ndarray:
+        return np.logical_or.reduce([pieces[i].cells for i in indices])
+
     def merge(indices: tuple[int, ...]) -> None:
-        merged_cells = frozenset().union(*(pieces[i].cells for i in indices))
-        new = _Piece(spec, merged_cells)
+        new = _Piece(spec, union(indices))
         for i in sorted(indices, reverse=True):
             del pieces[i]
         pieces.append(new)
@@ -102,7 +103,7 @@ def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
         action = None
         # Operation (a): merge two pieces with touching projected closures.
         for i, j in itertools.combinations(range(len(pieces)), 2):
-            if _touching(spec, pieces[i], pieces[j]):
+            if (pieces[i].near & pieces[j].proj).any():
                 action = (i, j)
                 break
         if action is None:
@@ -111,13 +112,12 @@ def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
             for t in range(2, max_t + 1):
                 for subset in itertools.combinations(range(len(pieces)), t):
                     if not exhaustive and not any(
-                        pieces[i].reach & pieces[j].reach
+                        (pieces[i].reach & pieces[j].reach).any()
                         for i, j in itertools.combinations(subset, 2)
                     ):
                         continue
-                    union_cells = frozenset().union(*(pieces[i].cells for i in subset))
-                    joint = closure(spec, CellSet(spec.shape, union_cells))
-                    if len(joint) > sum(len(pieces[i].closed) for i in subset):
+                    joint = closure(spec, CellSet.from_mask(union(subset)))
+                    if len(joint) > sum(pieces[i].closed.sum() for i in subset):
                         action = subset
                         break
                 if action is not None:

@@ -14,6 +14,7 @@ supported:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -113,13 +114,11 @@ class StructureSpec:
     def from_json(obj: dict) -> "StructureSpec":
         try:
             family = obj["family"]
-            n, d, r = int(obj["n"]), int(obj["d"]), int(obj["r"])
-            ell = int(obj.get("ell", 0))
-            k = int(obj.get("k", 2 if family == STAR else 0))
-        except (KeyError, TypeError, ValueError) as exc:
+            n, d, r = (operator.index(obj[key]) for key in ("n", "d", "r"))
+            ell = operator.index(obj.get("ell", 0))
+            k = operator.index(obj.get("k", {PLAIN: 1, STAR: 2}.get(family, 0)))
+        except (KeyError, TypeError) as exc:
             raise DomainError(f"bad structure JSON: {exc}") from exc
-        if family == PLAIN:
-            return StructureSpec(PLAIN, n, d, r)
         return StructureSpec(family, n, d, r, ell, k)
 
     def dumps(self) -> str:
@@ -153,7 +152,10 @@ class CellSet:
         return cls.from_mask(np.ones(tuple(shape), dtype=bool))
 
     def _index(self, coord: Sequence[int]) -> tuple[int, ...]:
-        coord = tuple(int(x) for x in coord)
+        try:
+            coord = tuple(operator.index(x) for x in coord)
+        except TypeError as exc:
+            raise DomainError(f"coordinate {coord!r} is not a sequence of integers") from exc
         if len(coord) != len(self.shape):
             raise DomainError(f"coordinate {coord} has wrong arity")
         for x, bound in zip(coord, self.shape):

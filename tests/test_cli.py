@@ -188,6 +188,13 @@ def test_non_list_infected_is_config_error(capsys, tmp_path):
     assert_clean_config_error(*result)
 
 
+def test_float_cell_is_config_error(capsys, tmp_path):
+    grid = {"structure": {"family": "plain", "n": 4, "d": 2, "r": 2},
+            "infected": [[1.7, 2.9]]}
+    result = run(capsys, "closure", "--input", write_json(tmp_path, "g.json", grid))
+    assert_clean_config_error(*result)
+
+
 def test_structure_over_vertex_budget_is_config_error(capsys, tmp_path):
     grid = {"structure": {"family": "plain", "n": 100000, "d": 3, "r": 3},
             "infected": []}

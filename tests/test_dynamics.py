@@ -115,6 +115,8 @@ def test_closure_uniform_against_plain():
     assert (2, 2) in out and (4, 4) in out and (1, 1) not in out
     with pytest.raises(DomainError):
         closure_uniform(box, cells, 0)
+    with pytest.raises(DomainError):
+        closure_uniform(Rectangle((0, 1), (3, 3)), cells, 2)
 
 
 def test_semi_percolation_star():

@@ -47,15 +47,21 @@ def test_main_algorithm_merges_touching_and_jumping():
     a = CellSet(spec.shape, [(1, 1), (2, 2), (5, 6)])
     result = span_main_algorithm(spec, a)
     assert set(result.rectangles) == set(span_direct(spec, a).rectangles)
-    # Log contains all three singleton rectangles plus the merged one.
-    assert Rectangle((1, 1), (1, 1)) in result.creation_log
-    assert Rectangle((1, 1), (2, 2)) in result.creation_log
+    # The three singletons in canonical order, then the merged piece, which
+    # moves to the end of the piece list.
+    R = Rectangle
+    assert result.creation_log == (R((1, 1), (1, 1)), R((2, 2), (2, 2)),
+                                   R((5, 6), (5, 6)), R((1, 1), (2, 2)))
+    assert result.rectangles == (R((5, 6), (5, 6)), R((1, 1), (2, 2)))
+    with pytest.raises(DomainError):
+        span_main_algorithm(spec, CellSet((5, 5), [(1, 1)]))
 
 
 @pytest.mark.parametrize("spec,p", [
     (StructureSpec.plain(6, 2, 2), 0.18),
     (StructureSpec.plain(4, 3, 3), 0.25),
     (StructureSpec.slab(5, 2, 1, 3, 2), 0.12),
+    (StructureSpec.star(5, 2, 1, 2), 0.1),
 ], ids=lambda x: str(x))
 def test_main_algorithm_equals_direct_randomized(spec, p):
     rng = np.random.default_rng(99)

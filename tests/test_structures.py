@@ -180,6 +180,20 @@ def test_structure_json_roundtrip():
     with pytest.raises(DomainError):
         StructureSpec.from_json({"family": "slab", "n": 4, "d": 2, "r": 2, "ell": 1,
                                  "k": [3]})
+    # A plain structure with thickness is refused, not stripped of it.
+    with pytest.raises(DomainError):
+        StructureSpec.from_json({"family": "plain", "n": 4, "d": 2, "r": 2,
+                                 "ell": 3, "k": 5})
+    # Non-integer numbers are refused, not truncated.
+    with pytest.raises(DomainError):
+        StructureSpec.from_json({"family": "plain", "n": 4.9, "d": 2, "r": 2})
+
+
+def test_cellset_refuses_non_integer_coordinates():
+    with pytest.raises(DomainError):
+        CellSet.from_json((4, 4), [[1.7, 2.9]])
+    cells = CellSet((4, 4), [(1, 2)])
+    assert (1, 2) in cells and (1.5, 2) not in cells
 
 
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=12))
