@@ -4,6 +4,12 @@ The closure is computed with per-vertex infected-neighbor counters and a
 frontier queue.  Every vertex enters the frontier at most once, but every
 round also runs an O(|V|) bincount and threshold test, so the total work is
 O(|V| * rounds).  The fixed point is independent of update order.
+
+``closure_batch`` closes a whole block of initial sets, shape
+``(B, *spec.shape)``, in synchronous rounds over the block: neighbour counts
+are shifted sums along the lattice axes, and a row leaves the block once a
+round adds nothing to it.  Row by row it equals ``closure``; the Monte Carlo
+estimators use it for the percolation events.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .structures import (
     STAR,
@@ -118,6 +123,39 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     return out
 
 
+def closure_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
+    """Closures of a block of initial sets: ``masks`` has shape
+    ``(B, *spec.shape)`` and row i of the result is
+    ``closure(spec, CellSet.from_mask(masks[i])).mask``.
+
+    Every row takes synchronous rounds: a cell joins once the count of its
+    infected neighbours, a sum of shifted copies of the row, reaches its
+    threshold.  The least fixed point does not depend on update order, so
+    this is the closure; a row is done once a round adds nothing to it.
+    """
+    if masks.shape[1:] != spec.shape:
+        raise DomainError("cell sets do not belong to this structure")
+    # A count never exceeds 2 * (d + ell), so higher thresholds cap there
+    # and every count and threshold fits in uint8.
+    thresholds = np.minimum(column_thresholds(spec), 2 * len(spec.shape) + 1).astype(np.uint8)
+    thresholds = thresholds.reshape((1,) * spec.d + (spec.k,) * spec.ell)
+    out = masks.astype(bool)
+    live = np.arange(len(out))
+    infected = out
+    while live.size:
+        counts = np.zeros(infected.shape, dtype=np.uint8)
+        for ax in range(1, infected.ndim):
+            low = (slice(None),) * ax + (slice(None, -1),)
+            high = (slice(None),) * ax + (slice(1, None),)
+            counts[high] += infected[low]
+            counts[low] += infected[high]
+        grown = infected | (counts >= thresholds)
+        changed = (grown != infected).reshape(len(grown), -1).any(axis=1)
+        out[live[~changed]] = infected[~changed]
+        infected, live = grown[changed], live[changed]
+    return out
+
+
 def percolates(spec: StructureSpec, cells: CellSet) -> bool:
     """True iff the closure is the full vertex set."""
     return bool(closure(spec, cells).mask.all())
@@ -200,6 +238,8 @@ def is_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
 
     closed = _local_closure(spec, infected)
     closed[axis_layer(ghost_local)] = False
+    from scipy import ndimage
+
     labels, _ = ndimage.label(closed)
     entry_labels = np.unique(labels[axis_layer(entry_local)])
     exit_labels = np.unique(labels[axis_layer(exit_local)])

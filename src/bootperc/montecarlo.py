@@ -3,7 +3,12 @@ probabilities, plus the sweep runner.
 
 Per-trial randomness comes from a counter-style Philox stream keyed on
 (master seed, trial index), so estimates are reproducible regardless of
-execution order.
+execution order.  ``trial_rng`` and ``sample_bin`` give one trial's stream
+and initial set.  The estimators draw the same sets in blocks of trials
+(``sample_blocks``): one Philox bit generator is re-keyed to
+(master seed, t) for each trial t instead of building a generator per
+trial, and a block of at most ``BLOCK_VERTICES`` vertices is evaluated at
+once (``EventSpec.count``).
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import numpy as np
 from .structures import CellSet, DomainError, Rectangle, StructureSpec, STAR, SLAB
 from .dynamics import (
     CrossDirection,
+    _base_layer_index,
+    closure_batch,
     is_crossed,
     is_semi_crossed,
     percolates,
@@ -34,6 +41,11 @@ SEMI_CROSSED = "semi_crossed"
 LONG_SPAN = "long_span"
 
 _KINDS = (PERCOLATES, SEMI_PERCOLATES, SPANS, CROSSED, SEMI_CROSSED, LONG_SPAN)
+
+# Vertices in one block of trials: B * |V| <= BLOCK_VERTICES with B >= 1.
+# A block's raw words (8 bytes a vertex), masks and closure arrays then take
+# about 1 MiB, unless a single trial is larger than the block.
+BLOCK_VERTICES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,20 @@ class EventSpec:
         longest = max((r.long for r in span_direct(spec, cells).rectangles),
                       default=0)
         return longest >= self.long_threshold
+
+    def count(self, masks: np.ndarray) -> int:
+        """Rows of a block of initial sets, shape ``(B, *shape)``, on which
+        the event holds: ``sum(self.evaluate(CellSet.from_mask(row)) for row
+        in masks)``.  The percolation events close the whole block at once.
+        """
+        spec = self.structure
+        if self.kind == PERCOLATES:
+            closed = closure_batch(spec, masks)
+        elif self.kind == SEMI_PERCOLATES:
+            closed = closure_batch(spec, masks)[(slice(None),) + _base_layer_index(spec)]
+        else:
+            return sum(self.evaluate(CellSet.from_mask(row)) for row in masks)
+        return int(closed.reshape(len(masks), -1).all(axis=1).sum())
 
     def label(self) -> str:
         return self.kind
@@ -156,16 +182,49 @@ def sample_bin(region, p: float, rng: np.random.Generator) -> CellSet:
     return CellSet.from_mask((u < p).reshape(shape))
 
 
-def estimate_event_prob(event: EventSpec, p: float, trials: int,
-                        master_seed: int) -> Estimate:
-    """Estimate P(event) at density p over independent seeded trials."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
+    """The initial sets of trials 0, ..., trials - 1 as bool blocks of shape
+    ``(B, *spec.shape)``, in trial order, with B * |V| <= BLOCK_VERTICES.
+
+    Row t is ``sample_bin(spec, p, trial_rng(master_seed, t)).mask``: one
+    Philox bit generator is re-keyed to (master_seed, t) with a zero
+    counter for each trial, and a raw word w gives the uniform
+    (w >> 11) * 2**-53, exactly as ``Generator.random`` does.
+    """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p = {p} outside [0, 1]")
-    spec = event.structure
-    successes = sum(event.evaluate(sample_bin(spec, p, trial_rng(master_seed, t)))
-                    for t in range(trials))
+    size = spec.num_vertices
+    step = max(1, BLOCK_VERTICES // size)
+    bits = np.random.Philox(key=0)
+    # Trial t's stream: key words (t, seed), counter 0, nothing buffered.
+    # Plain lists make the state setter several times cheaper than arrays.
+    key = [0, int(master_seed) & (2 ** 64 - 1)]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    cut = p * 2.0 ** 53
+    for start in range(0, trials, step):
+        words = np.empty((min(step, trials - start), size), dtype=np.uint64)
+        for i in range(len(words)):
+            key[0] = start + i
+            bits.state = state
+            words[i] = bits.random_raw(size)
+        words >>= 11
+        yield (words < cut).reshape((len(words),) + spec.shape)
+
+
+def estimate_event_prob(event: EventSpec, p: float, trials: int,
+                        master_seed: int) -> Estimate:
+    """Estimate P(event) at density p over independent seeded trials.
+
+    Trial t evaluates the event on
+    ``sample_bin(spec, p, trial_rng(master_seed, t))``; the trials are drawn
+    and evaluated in blocks (``sample_blocks``, ``EventSpec.count``), which
+    gives the same count.
+    """
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    successes = sum(event.count(block)
+                    for block in sample_blocks(event.structure, p, master_seed, trials))
     low, high = wilson_interval(successes, trials)
     return Estimate(successes / trials, trials, low, high, master_seed)
 

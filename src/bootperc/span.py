@@ -6,7 +6,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .structures import (
     CellSet,
@@ -37,6 +36,8 @@ def _rectangle(box: tuple[slice, ...]) -> Rectangle:
 def _span_rectangles(spec: StructureSpec, cells: CellSet) -> list[Rectangle]:
     """Bounding rectangles of the components of the projected closure, in
     label order, which is the order of each component's least member."""
+    from scipy import ndimage
+
     labels, _ = ndimage.label(projection(spec, closure(spec, cells)).mask)
     return [_rectangle(box) for box in ndimage.find_objects(labels)]
 
@@ -63,6 +64,8 @@ class _Piece:
     __slots__ = ("cells", "closed", "proj", "near", "rect", "reach")
 
     def __init__(self, spec: StructureSpec, cells: np.ndarray):
+        from scipy import ndimage
+
         self.cells = cells
         closed = closure(spec, CellSet.from_mask(cells))
         self.closed = closed.mask
@@ -169,6 +172,8 @@ def find_spanned_component(spec: StructureSpec, cells: CellSet, length: int) -> 
     if seeds.size:
         touched = nbrs[seeds].ravel()
         counts += np.bincount(touched[touched >= 0], minlength=size)
+
+    from scipy import ndimage
 
     def witness() -> CellSet | None:
         # Components in least-member order; a component's diameter is the

@@ -21,7 +21,6 @@ from math import prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 Coord = tuple[int, ...]
 
@@ -58,6 +57,11 @@ class StructureSpec:
     def __post_init__(self) -> None:
         if self.family not in (PLAIN, STAR, SLAB):
             raise DomainError(f"unknown family {self.family!r}")
+        for name in ("n", "d", "r", "ell", "k"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError as exc:
+                raise DomainError(f"{name} must be an integer: {exc}") from exc
         if self.n < 1 or self.d < 1 or self.r < 1 or self.ell < 0:
             raise DomainError("n, d, r must be >= 1 and ell >= 0")
         if self.family == PLAIN and (self.ell != 0 or self.k != 1):
@@ -92,7 +96,10 @@ class StructureSpec:
         return prod(self.shape)
 
     def validate_coord(self, v: Sequence[int]) -> Coord:
-        v = tuple(int(x) for x in v)
+        try:
+            v = tuple(operator.index(x) for x in v)
+        except TypeError as exc:
+            raise DomainError(f"coordinate {v!r} is not a sequence of integers") from exc
         if len(v) != self.d + self.ell:
             raise DomainError(f"coordinate {v} has wrong arity for {self}")
         for x, bound in zip(v, self.shape):
@@ -310,6 +317,8 @@ def components(spec_or_shape, cells: CellSet) -> list[CellSet]:
     shape = _resolve_shape(spec_or_shape)
     if cells.shape != shape:
         raise DomainError("cell set does not match the ambient grid")
+    from scipy import ndimage
+
     labels, count = ndimage.label(cells.mask)
     out = []
     for lab in range(1, count + 1):
@@ -328,6 +337,8 @@ def diameter(spec_or_shape, cells: CellSet) -> int:
     shape = _resolve_shape(spec_or_shape)
     if cells.shape != shape:
         raise DomainError("cell set does not match the ambient grid")
+    from scipy import ndimage
+
     labels, count = ndimage.label(cells.mask)
     best = 0
     for sl in ndimage.find_objects(labels):

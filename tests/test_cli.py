@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +215,20 @@ def test_semi_crossed_rectangle_out_of_bounds_is_config_error(capsys, tmp_path):
                  "--p", "0.3", "--trials", "5", "--seed", "1")
     assert_clean_config_error(*result)
     assert "out of bounds" in result[2]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize("code", [
+    "import bootperc",
+    "from bootperc.cli import main; assert main(['beta', '--k', '2', '--u', '0.5']) == 0",
+])
+def test_scalar_work_does_not_load_scipy(code):
+    # scipy.ndimage is imported by the labelling functions that use it, so
+    # importing the package or a scalar command loads numpy only.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    check = "; import sys; assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'"
+    proc = subprocess.run([sys.executable, "-c", code + check], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -6,8 +6,11 @@ import pytest
 
 from bootperc.structures import CellSet, DomainError, Rectangle, StructureSpec
 from bootperc.analytic import l_exact
+from bootperc.dynamics import BOTTOM_TO_TOP, closure, closure_batch
 from bootperc.montecarlo import (
+    BLOCK_VERTICES,
     SWEEP_COLUMNS,
+    Estimate,
     EventSpec,
     SweepConfig,
     derive_seed,
@@ -16,6 +19,7 @@ from bootperc.montecarlo import (
     estimate_p_alpha,
     run_sweep,
     sample_bin,
+    sample_blocks,
     trial_rng,
     wilson_interval,
 )
@@ -181,3 +185,102 @@ def test_sweep_config_and_run(tmp_path):
     assert rows == rows2
     with pytest.raises(DomainError):
         SweepConfig.from_json({"masterSeed": 1, "grid": []})
+
+
+# --- the blocked trial path against the per-trial reference -----------------
+
+def reference_estimate(event, p, trials, seed):
+    """estimate_event_prob written as one trial at a time."""
+    spec = event.structure
+    successes = sum(event.evaluate(sample_bin(spec, p, trial_rng(seed, t)))
+                    for t in range(trials))
+    return Estimate(successes / trials, trials,
+                    *wilson_interval(successes, trials), seed)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 0.3])
+@pytest.mark.parametrize("seed", [0, -5, 2 ** 64 + 17, 2 ** 70 - 1])
+def test_sample_blocks_rows_equal_sample_bin(p, seed):
+    spec = StructureSpec.plain(100, 2, 2)  # 10 000 vertices: blocks of 6
+    step = BLOCK_VERTICES // spec.num_vertices
+    trials = 2 * step + 3
+    blocks = list(sample_blocks(spec, p, seed, trials))
+    assert [len(b) for b in blocks] == [step, step, 3]
+    rows = np.concatenate(blocks)
+    assert rows.shape == (trials,) + spec.shape and rows.dtype == bool
+    for t in range(trials):
+        assert np.array_equal(rows[t], sample_bin(spec, p, trial_rng(seed, t)).mask)
+
+
+def test_sample_blocks_refuses_bad_density():
+    with pytest.raises(DomainError):
+        next(sample_blocks(StructureSpec.plain(3, 2, 2), 1.5, 1, 10))
+    with pytest.raises(DomainError):
+        estimate_event_prob(EventSpec("percolates", StructureSpec.plain(3, 2, 2)), -0.1, 10, 1)
+
+
+PLAIN5 = StructureSpec.plain(5, 2, 2)
+STAR4 = StructureSpec.star(4, 2, 1, 2)
+SLAB4 = StructureSpec.slab(4, 2, 1, 3, 2)
+
+EVENT_CASES = [
+    (EventSpec("percolates", PLAIN5), 0.3),
+    (EventSpec("percolates", StructureSpec.plain(3, 3, 3)), 0.5),
+    (EventSpec("percolates", StructureSpec.star(3, 2, 2, 2)), 0.7),
+    (EventSpec("percolates", StructureSpec.slab(3, 2, 1, 4, 2)), 0.4),
+    (EventSpec("semi_percolates", STAR4), 0.2),
+    (EventSpec("spans", PLAIN5, Rectangle((1, 1), (5, 5))), 0.3),
+    (EventSpec("long_span", PLAIN5, long_threshold=3), 0.15),
+    (EventSpec("crossed", SLAB4, Rectangle((1, 1), (4, 3)), direction=BOTTOM_TO_TOP), 0.12),
+    (EventSpec("semi_crossed", STAR4, Rectangle((2, 1), (3, 4)), axis=1), 0.12),
+]
+
+
+@pytest.mark.parametrize("event,p", EVENT_CASES,
+                         ids=[f"{e.kind}-{e.structure.family}{e.structure.n}"
+                              for e, _ in EVENT_CASES])
+def test_estimate_event_prob_equals_per_trial_loop(event, p):
+    trials, seed = 300, -7
+    est = estimate_event_prob(event, p, trials, seed)
+    assert est == reference_estimate(event, p, trials, seed)
+    assert 0.0 < est.p_hat < 1.0  # both outcomes occur, so the check has teeth
+
+
+CLOSURE_SPECS = [
+    StructureSpec.plain(6, 2, 2),
+    StructureSpec.plain(4, 3, 2),
+    StructureSpec.plain(4, 3, 3),
+    StructureSpec.star(4, 2, 2, 2),
+    StructureSpec.star(1, 2, 2, 2),  # horizontal axes of length 1
+    StructureSpec.slab(4, 2, 1, 4, 2),
+    StructureSpec.slab(3, 2, 2, 4, 3),
+    StructureSpec.plain(1, 3, 1),  # a single vertex
+    StructureSpec.plain(5, 2, 9),  # threshold above every neighbour count
+]
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS, ids=str)
+def test_closure_batch_equals_closure(spec):
+    rng = np.random.default_rng([spec.n, spec.d, spec.r, spec.ell, spec.k])
+    density = rng.uniform(0.0, 0.6, (40,) + (1,) * len(spec.shape))
+    masks = rng.random((40,) + spec.shape) < density
+    before = masks.copy()
+    closed = closure_batch(spec, masks)
+    assert np.array_equal(masks, before)  # the input block is not changed
+    for row, got in zip(masks, closed):
+        assert np.array_equal(got, closure(spec, CellSet.from_mask(row)).mask)
+    with pytest.raises(DomainError):
+        closure_batch(spec, masks[:, :1] if spec.n > 1 else masks[..., None])
+
+
+def test_blocks_of_one_trial_on_a_large_structure():
+    spec = StructureSpec.plain(257, 2, 2)
+    assert spec.num_vertices > BLOCK_VERTICES
+    assert [len(b) for b in sample_blocks(spec, 0.5, 3, 3)] == [1, 1, 1]
+    event = EventSpec("percolates", spec)
+    outcomes = set()
+    for p in (0.04, 0.09):
+        est = estimate_event_prob(event, p, 3, 3)
+        assert est == reference_estimate(event, p, 3, 3)
+        outcomes.add(est.p_hat)
+    assert outcomes == {0.0, 1.0}

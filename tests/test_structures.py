@@ -196,6 +196,25 @@ def test_cellset_refuses_non_integer_coordinates():
     assert (1, 2) in cells and (1.5, 2) not in cells
 
 
+def test_constructors_refuse_non_integers():
+    with pytest.raises(DomainError):
+        StructureSpec("plain", 4.5, 2, 2)
+    for sizes in ((4, 2.0, 2, 1, 2), (4, 2, "2", 1, 2), (4, 2, 2, 1.5, 2), (4, 2, 2, 1, 2.0)):
+        with pytest.raises(DomainError):
+            StructureSpec("star", *sizes[:3], ell=sizes[3], k=sizes[4])
+    # Integer types are kept as plain ints.
+    spec = StructureSpec("plain", np.int64(4), 2, 2)
+    assert spec == StructureSpec.plain(4, 2, 2) and type(spec.n) is int
+    spec = StructureSpec.plain(4, 2, 2)
+    with pytest.raises(DomainError):
+        neighbors(spec, (1.7, 2.9))
+    with pytest.raises(DomainError):
+        threshold(spec, (1.7, 2))
+    with pytest.raises(DomainError):
+        spec.validate_coord(None)
+    assert spec.validate_coord((np.int64(1), 2)) == (1, 2)
+
+
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=12))
 def test_cellset_iteration_sorted(coords):
     cs = CellSet((5, 5), coords)
