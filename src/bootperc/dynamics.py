@@ -1,20 +1,26 @@
 """Closure computation and the percolation / crossing / gap predicates.
 
-The closure is computed with per-vertex infected-neighbor counters and a
-frontier queue.  Every vertex enters the frontier at most once, but every
-round also runs an O(|V|) bincount and threshold test, so the total work is
-O(|V| * rounds).  The fixed point is independent of update order.
+One engine, ``_close``, computes every closure: of one grid (``closure``,
+``closure_uniform``), of a block of initial sets of shape ``(B, *shape)``
+(``closure_batch``) and of the local grids of the crossing events.  It keeps
+per-vertex counts of infected neighbours.  Every vertex enters the frontier
+at most once, and a round adds only the frontier's neighbours to the counts
+and tests only the cells they touch, so the cost is per touched cell.
+Blocks under 2**14 vertices, and rounds whose frontier is wide, take dense
+passes over the block instead: a bincount, or shifted sums of the
+frontier's mask.  The fixed point is independent of update order, so each
+row of a block is the closure of that row.
 
-``closure_batch`` closes a whole block of initial sets, shape
-``(B, *spec.shape)``, in synchronous rounds over the block: neighbour counts
-are shifted sums along the lattice axes, and a row leaves the block once a
-round adds nothing to it.  Row by row it equals ``closure``; the Monte Carlo
-estimators use it for the percolation events.
+``crossed_batch`` and ``semi_crossed_batch`` evaluate the crossing events on
+every row of a block with one closure and, for crossing, one labelling;
+``is_crossed`` and ``is_semi_crossed`` are their forms for one initial set.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Iterable, Sequence
 
@@ -29,6 +35,7 @@ from .structures import (
     StructureSpec,
     column_thresholds,
     grid_tables,
+    label_rows,
     threshold_table,
 )
 
@@ -44,6 +51,15 @@ class CrossDirection:
 
     axis: int = 1
     reverse: bool = False
+
+    def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "axis", operator.index(self.axis))
+        except TypeError as exc:
+            raise DomainError(f"crossing axis must be an integer: {exc}") from exc
+        if not isinstance(self.reverse, (bool, np.bool_)):
+            raise DomainError(f"crossing reverse must be true or false, not {self.reverse!r}")
+        object.__setattr__(self, "reverse", bool(self.reverse))
 
     _NAMES = {
         "left-to-right": (1, False),
@@ -67,24 +83,108 @@ BOTTOM_TO_TOP = CrossDirection(2, False)
 TOP_TO_BOTTOM = CrossDirection(2, True)
 
 
-def _closure_flat(nbrs: np.ndarray, thresholds: np.ndarray, infected: np.ndarray) -> np.ndarray:
-    """Counter/frontier closure on a flat grid; mutates and returns infected.
+# A threshold that no neighbour count reaches: a vertex has at most 2 * 64
+# neighbours, since numpy arrays have at most 64 axes.  Counts and
+# thresholds are uint8.
+_NEVER = 255
 
-    Each round costs O(|V|) for its bincount and threshold test, so the
-    total work is O(|V| * rounds).
+# Blocks of fewer vertices add each round's counts by a bincount of the
+# frontier's neighbours: there np.unique's fixed cost per call is more than a
+# bincount over the block.
+_SPARSE_MIN_VERTICES = 1 << 14
+# On a larger block, a round whose frontier may touch more than
+# 1/_DENSE_SHARE of the block adds shifted sums of the frontier's mask.
+_DENSE_SHARE = 8
+# Shifted sums slice the block along an axis when the slices are made of
+# runs of at least this many cells, and shift whole rows otherwise.
+_MIN_RUN = 16
+
+
+def _thresholds(values) -> np.ndarray:
+    """Per-vertex thresholds as the engine's uint8 array, capped at _NEVER."""
+    return np.minimum(values, _NEVER).astype(np.uint8)
+
+
+@lru_cache(maxsize=64)
+def _spec_thresholds(spec: StructureSpec) -> np.ndarray:
+    """``threshold_table(spec)`` in the engine's form."""
+    return _thresholds(threshold_table(spec))
+
+
+def _add_neighbours(counts: np.ndarray, mask: np.ndarray, nbrs: np.ndarray) -> None:
+    """Adds to each cell of the uint8 block ``counts`` its number of
+    neighbours in the bool block ``mask``, both of shape ``(B, *shape)``,
+    by shifted sums along each axis of ``shape``."""
+    rows, shape = len(mask), mask.shape[1:]
+    size = prod(shape)
+    row_counts, row_mask = counts.reshape(rows, size), mask.reshape(rows, size)
+    step = size
+    for ax, length in enumerate(shape):
+        step //= length  # the flat distance between neighbours along ax
+        if length == 1:
+            continue
+        if (length - 1) * step >= _MIN_RUN or size - step < _MIN_RUN:
+            low = (slice(None),) * (ax + 1) + (slice(None, -1),)
+            high = (slice(None),) * (ax + 1) + (slice(1, None),)
+            counts[high] += mask[low]
+            counts[low] += mask[high]
+        else:
+            # Short runs, as on a thickness axis: shift whole rows and keep
+            # the cells that have a neighbour on that side.
+            row_counts[:, step:] += row_mask[:, :-step] & (nbrs[step:, 2 * ax] >= 0)
+            row_counts[:, :-step] += row_mask[:, step:] & (nbrs[:-step, 2 * ax + 1] >= 0)
+
+
+def _close(thresholds: np.ndarray, infected: np.ndarray) -> np.ndarray:
+    """The frontier closure engine: closes a C-contiguous bool block
+    ``infected`` of shape ``(B, *shape)`` in place and returns it.
+
+    ``thresholds`` is a ``(V,)`` uint8 array for one grid of ``shape``,
+    shared by every row; a cell with threshold ``_NEVER`` never joins, so it
+    never counts either.  Each round adds the frontier's contribution to the
+    infected-neighbour counts, the initial cells being the first frontier,
+    and then tests only the cells it touched.  The neighbours come from the
+    cached ``grid_tables`` with a row offset of ``row * V``.  A small block
+    adds them by a bincount; on a larger block, a narrow frontier adds them
+    at the cells it touches with ``np.unique`` and a wide one adds shifted
+    sums of its mask.  So the cost is per touched cell, not per vertex and
+    round, except on small blocks.
     """
-    size = infected.size
-    counts = np.zeros(size, dtype=np.int64)
-    frontier = np.flatnonzero(infected)
-    remaining = size - frontier.size
+    rows, shape = len(infected), infected.shape[1:]
+    nbrs, size = grid_tables(shape)
+    flat = infected.reshape(-1)
+    counts = np.zeros(flat.size, dtype=np.uint8)
+    # Views that broadcast the thresholds over the rows; 1-D for one row.
+    grid, flat_grid = (counts, flat) if rows == 1 else (counts.reshape(rows, size),
+                                                        flat.reshape(rows, size))
+    small = flat.size < _SPARSE_MIN_VERTICES
+    frontier = flat.nonzero()[0]
+    remaining = flat.size - frontier.size
     while frontier.size and remaining:
-        touched = nbrs[frontier].ravel()
-        touched = touched[touched >= 0]
-        counts += np.bincount(touched, minlength=size)
-        newly = np.flatnonzero(~infected & (counts >= thresholds))
-        infected[newly] = True
-        remaining -= newly.size
-        frontier = newly
+        if not small and frontier.size * nbrs.shape[1] * _DENSE_SHARE > flat.size:
+            mask = np.zeros(flat.size, dtype=bool)
+            mask[frontier] = True
+            _add_neighbours(counts.reshape(infected.shape), mask.reshape(infected.shape), nbrs)
+            # Cells at their threshold and not yet infected: for bools,
+            # a > b is a & ~b in one step.
+            frontier = ((grid >= thresholds) > flat_grid).ravel().nonzero()[0]
+        else:
+            vertex = frontier % size if rows > 1 else frontier
+            nb = nbrs[vertex]
+            valid = nb >= 0
+            if rows > 1:
+                nb += (frontier - vertex)[:, None]
+            touched = nb[valid]
+            if small:
+                counts += np.bincount(touched, minlength=flat.size).astype(np.uint8)
+                frontier = ((grid >= thresholds) > flat_grid).ravel().nonzero()[0]
+            else:
+                cells, hits = np.unique(touched, return_counts=True)
+                counts[cells] += hits.astype(np.uint8)
+                cells = cells[~flat[cells]]
+                frontier = cells[counts[cells] >= thresholds[cells % size]]
+        flat[frontier] = True
+        remaining -= frontier.size
     return infected
 
 
@@ -92,9 +192,7 @@ def closure(spec: StructureSpec, cells: CellSet) -> CellSet:
     """The closure [A]: the least fixed point of the infection rule."""
     if cells.shape != spec.shape:
         raise DomainError("cell set does not belong to this structure")
-    nbrs, _ = grid_tables(spec.shape)
-    infected = _closure_flat(nbrs, threshold_table(spec), cells.mask.ravel().copy())
-    return CellSet.from_mask(infected.reshape(spec.shape))
+    return CellSet.from_mask(_close(_spec_thresholds(spec), cells.mask[None].copy())[0])
 
 
 def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
@@ -108,52 +206,28 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     if min(box.lo) < 1:
         raise DomainError("box coordinates must be >= 1")
     dims = box.dim
-    nbrs, size = grid_tables(dims)
-    infected = np.zeros(size, dtype=bool)
+    infected = np.zeros((1,) + dims, dtype=bool)
     for c in cells:
         c = tuple(int(x) for x in c)
         if len(c) != len(dims):
             raise DomainError(f"coordinate {c} has wrong arity for the box")
         if box.contains(c):
-            local = tuple(x - a for x, a in zip(c, box.lo))
-            infected[np.ravel_multi_index(local, dims)] = True
-    infected = _closure_flat(nbrs, np.full(size, t, dtype=np.int64), infected)
+            infected[(0,) + tuple(x - a for x, a in zip(c, box.lo))] = True
+    _close(np.full(prod(dims), min(t, _NEVER), dtype=np.uint8), infected)
     out = CellSet(box.hi)
-    out.mask[tuple(slice(a - 1, b) for a, b in zip(box.lo, box.hi))] = infected.reshape(dims)
+    out.mask[tuple(slice(a - 1, b) for a, b in zip(box.lo, box.hi))] = infected[0]
     return out
 
 
 def closure_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
     """Closures of a block of initial sets: ``masks`` has shape
     ``(B, *spec.shape)`` and row i of the result is
-    ``closure(spec, CellSet.from_mask(masks[i])).mask``.
-
-    Every row takes synchronous rounds: a cell joins once the count of its
-    infected neighbours, a sum of shifted copies of the row, reaches its
-    threshold.  The least fixed point does not depend on update order, so
-    this is the closure; a row is done once a round adds nothing to it.
+    ``closure(spec, CellSet.from_mask(masks[i])).mask``.  ``masks`` is not
+    changed.
     """
     if masks.shape[1:] != spec.shape:
         raise DomainError("cell sets do not belong to this structure")
-    # A count never exceeds 2 * (d + ell), so higher thresholds cap there
-    # and every count and threshold fits in uint8.
-    thresholds = np.minimum(column_thresholds(spec), 2 * len(spec.shape) + 1).astype(np.uint8)
-    thresholds = thresholds.reshape((1,) * spec.d + (spec.k,) * spec.ell)
-    out = masks.astype(bool)
-    live = np.arange(len(out))
-    infected = out
-    while live.size:
-        counts = np.zeros(infected.shape, dtype=np.uint8)
-        for ax in range(1, infected.ndim):
-            low = (slice(None),) * ax + (slice(None, -1),)
-            high = (slice(None),) * ax + (slice(1, None),)
-            counts[high] += infected[low]
-            counts[low] += infected[high]
-        grown = infected | (counts >= thresholds)
-        changed = (grown != infected).reshape(len(grown), -1).any(axis=1)
-        out[live[~changed]] = infected[~changed]
-        infected, live = grown[changed], live[changed]
-    return out
+    return _close(_spec_thresholds(spec), np.array(masks, dtype=bool, order="C"))
 
 
 def percolates(spec: StructureSpec, cells: CellSet) -> bool:
@@ -173,45 +247,53 @@ def semi_percolates(spec: StructureSpec, cells: CellSet) -> bool:
     return bool(closed.mask[_base_layer_index(spec)].all())
 
 
-def _check_event_inputs(spec: StructureSpec, rect: Rectangle, cells: CellSet) -> None:
-    """Shared input check of the crossing events: cells belong to spec and
-    R has arity d with 1 <= lo <= hi <= n."""
-    if cells.shape != spec.shape:
-        raise DomainError("cell set does not belong to this structure")
+def check_rectangle(spec: StructureSpec, rect: Rectangle) -> None:
+    """The rule for an event's rectangle R: arity d and 1 <= lo <= hi <= n."""
     if len(rect.lo) != spec.d:
         raise DomainError("rectangle arity does not match structure")
     if not (all(a >= 1 for a in rect.lo) and all(b <= spec.n for b in rect.hi)):
         raise DomainError("rectangle out of bounds")
 
 
+def _check_block(spec: StructureSpec, rect: Rectangle, masks: np.ndarray) -> None:
+    """Shared input check of the crossing events: the rows of ``masks``
+    belong to spec and R obeys ``check_rectangle``."""
+    if masks.shape[1:] != spec.shape:
+        raise DomainError("cell set does not belong to this structure")
+    check_rectangle(spec, rect)
+
+
 def _local_closure(spec: StructureSpec, infected: np.ndarray,
                    region: np.ndarray | None = None) -> np.ndarray:
-    """Closure on a local grid of spec: any horizontal extent, full thickness.
+    """Closure of a block of local grids of spec, each of any horizontal
+    extent and full thickness; changes ``infected`` and returns it.
 
-    With ``region`` (a bool mask of the same shape) adjacency is restricted
-    to it: cells outside never become infected and so never count.
+    With ``region`` (a bool mask of one grid) adjacency is restricted to it:
+    cells outside, which must start uninfected, never join and so never
+    count.
     """
-    shape = infected.shape
+    shape = infected.shape[1:]
     thresholds = np.tile(column_thresholds(spec), prod(shape[:spec.d]))
-    infected = infected.ravel()
     if region is not None:
-        thresholds = np.where(region.ravel(), thresholds, np.iinfo(np.int64).max)
-        infected = infected & region.ravel()
-    nbrs, _ = grid_tables(shape)
-    return _closure_flat(nbrs, thresholds, infected).reshape(shape)
+        thresholds = np.where(region.ravel(), thresholds, _NEVER)
+    return _close(_thresholds(thresholds), infected)
 
 
-def is_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
-               direction: CrossDirection = LEFT_TO_RIGHT) -> bool:
-    """Crossing event H(R): with a fully infected ghost plane on the entry
-    side, the closure restricted to R contains a path from entry to exit face.
+def crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
+                  direction: CrossDirection = LEFT_TO_RIGHT) -> np.ndarray:
+    """``is_crossed`` on every row of a block of initial sets of shape
+    ``(B, *spec.shape)``, as a bool array of length B.
+
+    The ghost-plane grids of all rows are closed as one block and labelled
+    at once, with no links along the block axis, so a label never spans two
+    rows.
     """
     if spec.family != SLAB:
         raise DomainError("crossing is defined for slab structures")
     if spec.d != 2:
         raise DomainError("crossing requires d = 2")
-    _check_event_inputs(spec, rect, cells)
-    ax = direction.axis - 1
+    _check_block(spec, rect, masks)
+    ax, reverse = direction.axis - 1, direction.reverse
     if not 0 <= ax < spec.d:
         raise DomainError("crossing axis out of range")
 
@@ -219,45 +301,48 @@ def is_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
     dims = list(rect.dim) + [spec.k] * spec.ell
     dims[ax] += 1
     shape = tuple(dims)
-    ghost_local = 0 if not direction.reverse else shape[ax] - 1
-    entry_local = 1 if not direction.reverse else shape[ax] - 2
-    exit_local = shape[ax] - 1 if not direction.reverse else 0
+    ghost_local = 0 if not reverse else shape[ax] - 1
+    entry_local = 1 if not reverse else shape[ax] - 2
+    exit_local = shape[ax] - 1 if not reverse else 0
     if rect.dim[ax] == 1:
         entry_local = exit_local
 
     def axis_layer(i: int) -> tuple:
-        return (slice(None),) * ax + (i,) + (slice(None),) * (len(shape) - ax - 1)
+        return (slice(None),) * (ax + 1) + (i,)
 
-    infected = np.zeros(shape, dtype=bool)
-    src = tuple(slice(a - 1, a - 1 + s) for a, s in zip(rect.lo, rect.dim)) \
-        + (slice(None),) * spec.ell
-    dest = list(slice(None, s) for s in shape)
-    dest[ax] = slice(1, None) if not direction.reverse else slice(None, -1)
-    infected[tuple(dest)] = cells.mask[src]
+    infected = np.zeros((len(masks),) + shape, dtype=bool)
+    src = (slice(None),) + tuple(slice(a - 1, b) for a, b in zip(rect.lo, rect.hi))
+    dest = [slice(None)] * (len(shape) + 1)
+    dest[ax + 1] = slice(1, None) if not reverse else slice(None, -1)
+    infected[tuple(dest)] = masks[src]
     infected[axis_layer(ghost_local)] = True
 
     closed = _local_closure(spec, infected)
     closed[axis_layer(ghost_local)] = False
-    from scipy import ndimage
-
-    labels, _ = ndimage.label(closed)
-    entry_labels = np.unique(labels[axis_layer(entry_local)])
-    exit_labels = np.unique(labels[axis_layer(exit_local)])
-    hit = np.intersect1d(entry_labels, exit_labels)
-    return bool((hit > 0).any())
+    labels, count = label_rows(closed)
+    on_entry = np.zeros(count + 1, dtype=bool)
+    on_entry[labels[axis_layer(entry_local)]] = True
+    on_entry[0] = False
+    return on_entry[labels[axis_layer(exit_local)]].reshape(len(masks), -1).any(axis=1)
 
 
-def is_semi_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
-                    axis: int = 1) -> bool:
-    """Semi-crossing of R in direction ``axis`` (1-based) by A.
+def is_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
+               direction: CrossDirection = LEFT_TO_RIGHT) -> bool:
+    """Crossing event H(R): with a fully infected ghost plane on the entry
+    side, the closure restricted to R contains a path from entry to exit face.
+    """
+    return bool(crossed_batch(spec, rect, cells.mask[None], direction)[0])
 
-    Builds A_t^R = (A cap (R u R_t^+)) u R_t^-, closes restricted to
-    R u R_t^+ u R_t^-, and checks that every threshold-r vertex of R is
-    infected.  Fringes falling outside [n]^d are treated as absent.
+
+def semi_crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
+                       axis: int = 1) -> np.ndarray:
+    """``is_semi_crossed`` on every row of a block of initial sets of shape
+    ``(B, *spec.shape)``, as a bool array of length B.  The local grid and
+    its fringes are the same for every row, so the block is closed at once.
     """
     if spec.family != STAR:
         raise DomainError("semi-crossing is defined for star structures")
-    _check_event_inputs(spec, rect, cells)
+    _check_block(spec, rect, masks)
     ax = axis - 1
     if not 0 <= ax < spec.d:
         raise DomainError("semi-crossing axis out of range")
@@ -286,10 +371,22 @@ def is_semi_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
     region[absolute_block(lo, hi, top_only=False)] = True
     fringe_minus, fringe_plus = fringe(lo[ax] - 1), fringe(hi[ax] + 1)
 
-    src = tuple(slice(a - 1, b) for a, b in zip(glo, ghi)) + (slice(None),) * spec.ell
-    infected = (cells.mask[src] & (region | fringe_plus)) | fringe_minus
+    src = (slice(None),) + tuple(slice(a - 1, b) for a, b in zip(glo, ghi))
+    infected = (masks[src] & (region | fringe_plus)) | fringe_minus
     closed = _local_closure(spec, infected, region | fringe_plus | fringe_minus)
-    return bool(closed[absolute_block(lo, hi, top_only=True)].all())
+    inside = closed[(slice(None),) + absolute_block(lo, hi, top_only=True)]
+    return inside.reshape(len(masks), -1).all(axis=1)
+
+
+def is_semi_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
+                    axis: int = 1) -> bool:
+    """Semi-crossing of R in direction ``axis`` (1-based) by A.
+
+    Builds A_t^R = (A cap (R u R_t^+)) u R_t^-, closes restricted to
+    R u R_t^+ u R_t^-, and checks that every threshold-r vertex of R is
+    infected.  Fringes falling outside [n]^d are treated as absent.
+    """
+    return bool(semi_crossed_batch(spec, rect, cells.mask[None], axis)[0])
 
 
 def has_double_gap(dims: Sequence[int], cells, axes: Iterable[int] | None = None) -> bool:

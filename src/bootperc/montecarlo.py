@@ -15,21 +15,27 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .structures import CellSet, DomainError, Rectangle, StructureSpec, STAR, SLAB
 from .dynamics import (
+    LEFT_TO_RIGHT,
     CrossDirection,
     _base_layer_index,
+    check_rectangle,
     closure_batch,
+    crossed_batch,
     is_crossed,
     is_semi_crossed,
     percolates,
+    semi_crossed_batch,
     semi_percolates,
 )
-from .span import span_direct
+from .span import span_boxes_batch, span_direct
 
 _Z95 = 1.959963984540054
 
@@ -60,16 +66,35 @@ class EventSpec:
     long_threshold: float | None = None
 
     def __post_init__(self) -> None:
+        spec = self.structure
         if self.kind not in _KINDS:
             raise DomainError(f"unknown event kind {self.kind!r}")
-        if self.kind in (SEMI_PERCOLATES, SEMI_CROSSED) and self.structure.family != STAR:
+        if self.kind in (SEMI_PERCOLATES, SEMI_CROSSED) and spec.family != STAR:
             raise DomainError(f"{self.kind} requires a star structure")
-        if self.kind == CROSSED and self.structure.family != SLAB:
-            raise DomainError("crossed requires a slab structure")
+        if self.kind == CROSSED and (spec.family != SLAB or spec.d != 2):
+            raise DomainError("crossed requires a slab structure with d = 2")
         if self.kind in (SPANS, CROSSED, SEMI_CROSSED) and self.rectangle is None:
             raise DomainError(f"{self.kind} requires a rectangle")
         if self.kind == LONG_SPAN and self.long_threshold is None:
             raise DomainError("long_span requires a length threshold")
+        # The block path never reaches the per-trial checks, so every input
+        # is checked here, once.
+        if self.rectangle is not None:
+            check_rectangle(spec, self.rectangle)
+        if self.direction is not None and not 1 <= self.direction.axis <= spec.d:
+            raise DomainError(f"crossing axis {self.direction.axis} out of range 1..{spec.d}")
+        if self.axis is not None:
+            try:
+                axis = operator.index(self.axis)
+            except TypeError as exc:
+                raise DomainError(f"axis must be an integer: {exc}") from exc
+            if not 1 <= axis <= spec.d:
+                raise DomainError(f"axis {axis} out of range 1..{spec.d}")
+            object.__setattr__(self, "axis", axis)
+        if self.long_threshold is not None and (
+                isinstance(self.long_threshold, bool)
+                or not isinstance(self.long_threshold, numbers.Real)):
+            raise DomainError(f"length threshold must be a number, not {self.long_threshold!r}")
 
     def evaluate(self, cells: CellSet) -> bool:
         spec = self.structure
@@ -80,8 +105,7 @@ class EventSpec:
         if self.kind == SPANS:
             return self.rectangle in span_direct(spec, cells).rectangles
         if self.kind == CROSSED:
-            return is_crossed(spec, self.rectangle, cells,
-                              self.direction or CrossDirection())
+            return is_crossed(spec, self.rectangle, cells, self.direction or LEFT_TO_RIGHT)
         if self.kind == SEMI_CROSSED:
             return is_semi_crossed(spec, self.rectangle, cells, self.axis or 1)
         longest = max((r.long for r in span_direct(spec, cells).rectangles),
@@ -91,16 +115,29 @@ class EventSpec:
     def count(self, masks: np.ndarray) -> int:
         """Rows of a block of initial sets, shape ``(B, *shape)``, on which
         the event holds: ``sum(self.evaluate(CellSet.from_mask(row)) for row
-        in masks)``.  The percolation events close the whole block at once.
+        in masks)``.  Every kind closes the whole block at once.
         """
         spec = self.structure
         if self.kind == PERCOLATES:
-            closed = closure_batch(spec, masks)
+            hits = closure_batch(spec, masks).reshape(len(masks), -1).all(axis=1)
         elif self.kind == SEMI_PERCOLATES:
-            closed = closure_batch(spec, masks)[(slice(None),) + _base_layer_index(spec)]
+            base = closure_batch(spec, masks)[(slice(None),) + _base_layer_index(spec)]
+            hits = base.reshape(len(masks), -1).all(axis=1)
+        elif self.kind == CROSSED:
+            hits = crossed_batch(spec, self.rectangle, masks, self.direction or LEFT_TO_RIGHT)
+        elif self.kind == SEMI_CROSSED:
+            hits = semi_crossed_batch(spec, self.rectangle, masks, self.axis or 1)
         else:
-            return sum(self.evaluate(CellSet.from_mask(row)) for row in masks)
-        return int(closed.reshape(len(masks), -1).all(axis=1).sum())
+            boxes = span_boxes_batch(spec, masks)
+            rows, lo, hi = boxes[:, 0], boxes[:, 1:1 + spec.d], boxes[:, 1 + spec.d:]
+            if self.kind == SPANS:
+                rect = self.rectangle
+                mine = (lo == np.subtract(rect.lo, 1)).all(axis=1) & (hi == rect.hi).all(axis=1)
+                return len(np.unique(rows[mine]))
+            longest = np.zeros(len(masks), dtype=np.int64)
+            np.maximum.at(longest, rows, (hi - lo).max(axis=1))
+            hits = longest >= self.long_threshold
+        return int(hits.sum())
 
     def label(self) -> str:
         return self.kind
@@ -130,9 +167,10 @@ class EventSpec:
             dobj = obj["direction"]
             if isinstance(dobj, str):
                 direction = CrossDirection.from_name(dobj)
+            elif not isinstance(dobj, dict):
+                raise DomainError("bad event JSON: 'direction' must be a name or an object")
             else:
-                direction = CrossDirection(int(dobj.get("axis", 1)),
-                                           bool(dobj.get("reverse", False)))
+                direction = CrossDirection(dobj.get("axis", 1), dobj.get("reverse", False))
         return EventSpec(kind, structure, rect, direction,
                          obj.get("axis"), obj.get("longThreshold"))
 

@@ -13,10 +13,11 @@ from .structures import (
     Rectangle,
     StructureSpec,
     grid_tables,
+    label_rows,
     projection,
     threshold_table,
 )
-from .dynamics import closure
+from .dynamics import closure, closure_batch
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,25 @@ def _span_rectangles(spec: StructureSpec, cells: CellSet) -> list[Rectangle]:
 
     labels, _ = ndimage.label(projection(spec, closure(spec, cells)).mask)
     return [_rectangle(box) for box in ndimage.find_objects(labels)]
+
+
+def span_boxes_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
+    """The span of every row of a block of initial sets ``(B, *spec.shape)``
+    as an int array of shape ``(m, 1 + 2 * d)``: one line per rectangle,
+    holding its row and then its 0-based ``lo`` and exclusive ``hi``.
+
+    The block is closed, projected and labelled at once; each
+    ``ndimage.find_objects`` box carries its row in its first slice.  Lines
+    come in row order, and within a row in ``span_direct``'s order.
+    """
+    from scipy import ndimage
+
+    closed = closure_batch(spec, masks)
+    proj = closed.any(axis=tuple(range(spec.d + 1, closed.ndim))) if spec.ell else closed
+    labels, _ = label_rows(proj)
+    lines = [[box[0].start, *(s.start for s in box[1:]), *(s.stop for s in box[1:])]
+             for box in ndimage.find_objects(labels)]
+    return np.array(lines, dtype=np.int64).reshape(len(lines), 1 + 2 * spec.d)
 
 
 def span_direct(spec: StructureSpec, cells: CellSet) -> SpanResult:

@@ -222,8 +222,11 @@ class Rectangle:
     hi: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", tuple(int(x) for x in self.lo))
-        object.__setattr__(self, "hi", tuple(int(x) for x in self.hi))
+        for name in ("lo", "hi"):
+            try:
+                object.__setattr__(self, name, tuple(operator.index(x) for x in getattr(self, name)))
+            except TypeError as exc:
+                raise DomainError(f"rectangle {name} must be integers: {exc}") from exc
         if len(self.lo) != len(self.hi):
             raise DomainError("lo and hi must have the same arity")
         if any(a > b for a, b in zip(self.lo, self.hi)):
@@ -346,6 +349,18 @@ def diameter(spec_or_shape, cells: CellSet) -> int:
             continue
         best = max(best, max(s.stop - s.start for s in sl))
     return best
+
+
+def label_rows(block: np.ndarray) -> tuple[np.ndarray, int]:
+    """``ndimage.label`` of every row of a bool block ``(B, *shape)`` at once:
+    nearest-neighbour components within each row, never across rows.
+    Labels run in scan order, so each row's labels follow the previous row's.
+    """
+    from scipy import ndimage
+
+    structure = np.zeros((3,) * block.ndim, dtype=bool)
+    structure[1] = ndimage.generate_binary_structure(block.ndim - 1, 1)
+    return ndimage.label(block, structure)
 
 
 @lru_cache(maxsize=64)

@@ -217,6 +217,42 @@ def test_semi_crossed_rectangle_out_of_bounds_is_config_error(capsys, tmp_path):
     assert "out of bounds" in result[2]
 
 
+@pytest.mark.parametrize("structure,event", [
+    ({"family": "star", "n": 4, "d": 2, "r": 2, "ell": 1},
+     {"kind": "semi_crossed", "rect": [[1, 1], [4, 4]], "axis": "1"}),
+    ({"family": "plain", "n": 4, "d": 2, "r": 2},
+     {"kind": "long_span", "longThreshold": "3"}),
+    ({"family": "slab", "n": 4, "d": 2, "r": 2, "ell": 1, "k": 3},
+     {"kind": "crossed", "rect": [[1, 1], [4, 4]], "direction": {"axis": 1.7, "reverse": "false"}}),
+], ids=["axis-string", "long-threshold-string", "direction-float-and-string"])
+def test_sweep_event_with_mistyped_field_is_config_error(capsys, tmp_path, structure, event):
+    config = {"masterSeed": 5,
+              "grid": [{"structure": structure, "event": event, "p": 0.3, "trials": 10}]}
+    result = run(capsys, "sweep", "--config", write_json(tmp_path, "c.json", config),
+                 "--out", str(tmp_path / "rows.csv"))
+    assert_clean_config_error(*result)
+
+
+def test_semi_crossed_axis_zero_is_config_error(capsys, tmp_path):
+    # Axis 0 used to run as axis 1.
+    struct = write_json(tmp_path, "s.json",
+                        {"family": "star", "n": 6, "d": 2, "r": 2, "ell": 1})
+    result = run(capsys, "estimate", "--event", "semi-crossed",
+                 "--structure", struct, "--rect", "2,2,5,5", "--axis", "0",
+                 "--p", "0.3", "--trials", "5", "--seed", "1")
+    assert_clean_config_error(*result)
+    assert "axis" in result[2]
+
+
+def test_spans_rectangle_of_wrong_arity_is_config_error(capsys, tmp_path):
+    # A three-axis rectangle on a two-axis structure used to give pHat=0.
+    struct = write_json(tmp_path, "s.json", {"family": "plain", "n": 6, "d": 2, "r": 2})
+    result = run(capsys, "estimate", "--event", "spans", "--structure", struct,
+                 "--rect", "1,1,1,9,9,9", "--p", "0.3", "--trials", "5", "--seed", "1")
+    assert_clean_config_error(*result)
+    assert "arity" in result[2]
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 

@@ -6,7 +6,17 @@ import pytest
 
 from bootperc.structures import CellSet, DomainError, Rectangle, StructureSpec
 from bootperc.analytic import l_exact
-from bootperc.dynamics import BOTTOM_TO_TOP, closure, closure_batch
+from bootperc.dynamics import (
+    BOTTOM_TO_TOP,
+    LEFT_TO_RIGHT,
+    RIGHT_TO_LEFT,
+    TOP_TO_BOTTOM,
+    CrossDirection,
+    closure,
+    closure_batch,
+    closure_uniform,
+)
+from bootperc.structures import grid_tables, threshold_table
 from bootperc.montecarlo import (
     BLOCK_VERTICES,
     SWEEP_COLUMNS,
@@ -222,23 +232,45 @@ def test_sample_blocks_refuses_bad_density():
 PLAIN5 = StructureSpec.plain(5, 2, 2)
 STAR4 = StructureSpec.star(4, 2, 1, 2)
 SLAB4 = StructureSpec.slab(4, 2, 1, 3, 2)
+# 300 trials of these fill one block of 218 or 256 rows and part of another.
+SLAB10 = StructureSpec.slab(10, 2, 1, 3, 2)
+PLAIN16 = StructureSpec.plain(16, 2, 2)
+STAR10 = StructureSpec.star(10, 2, 1, 2)
+STAR6 = StructureSpec.star(6, 2, 1, 2)
+
+
+def _case(event, p, detail=""):
+    spec = event.structure
+    return pytest.param(event, p, id=f"{event.kind}-{spec.family}{spec.n}{detail}")
+
 
 EVENT_CASES = [
-    (EventSpec("percolates", PLAIN5), 0.3),
-    (EventSpec("percolates", StructureSpec.plain(3, 3, 3)), 0.5),
-    (EventSpec("percolates", StructureSpec.star(3, 2, 2, 2)), 0.7),
-    (EventSpec("percolates", StructureSpec.slab(3, 2, 1, 4, 2)), 0.4),
-    (EventSpec("semi_percolates", STAR4), 0.2),
-    (EventSpec("spans", PLAIN5, Rectangle((1, 1), (5, 5))), 0.3),
-    (EventSpec("long_span", PLAIN5, long_threshold=3), 0.15),
-    (EventSpec("crossed", SLAB4, Rectangle((1, 1), (4, 3)), direction=BOTTOM_TO_TOP), 0.12),
-    (EventSpec("semi_crossed", STAR4, Rectangle((2, 1), (3, 4)), axis=1), 0.12),
+    _case(EventSpec("percolates", PLAIN5), 0.3),
+    _case(EventSpec("percolates", StructureSpec.plain(3, 3, 3)), 0.5),
+    _case(EventSpec("percolates", StructureSpec.star(3, 2, 2, 2)), 0.7),
+    _case(EventSpec("percolates", StructureSpec.slab(3, 2, 1, 4, 2)), 0.4),
+    _case(EventSpec("semi_percolates", STAR4), 0.2),
+    _case(EventSpec("spans", PLAIN5, Rectangle((1, 1), (5, 5))), 0.3),
+    _case(EventSpec("long_span", PLAIN5, long_threshold=3), 0.15),
+    _case(EventSpec("crossed", SLAB4, Rectangle((1, 1), (4, 3)), direction=BOTTOM_TO_TOP), 0.12),
+    _case(EventSpec("semi_crossed", STAR4, Rectangle((2, 1), (3, 4)), axis=1), 0.12),
+    # Crossings in all four orientations: R is the whole square (its ghost
+    # plane lies outside [n]^d), touches two edges, or lies inside.
+    _case(EventSpec("crossed", SLAB10, Rectangle((1, 1), (10, 10)), LEFT_TO_RIGHT), 0.05, "-whole-lr"),
+    _case(EventSpec("crossed", SLAB10, Rectangle((3, 1), (10, 6)), RIGHT_TO_LEFT), 0.08, "-edge-rl"),
+    _case(EventSpec("crossed", SLAB10, Rectangle((1, 3), (6, 10)), BOTTOM_TO_TOP), 0.08, "-edge-bt"),
+    _case(EventSpec("crossed", SLAB10, Rectangle((3, 3), (8, 8)), TOP_TO_BOTTOM), 0.05, "-inside-tb"),
+    # Semi-crossings on both axes, each with one fringe cut off at the edge.
+    _case(EventSpec("semi_crossed", STAR10, Rectangle((1, 2), (6, 9)), axis=1), 0.12, "-axis1"),
+    _case(EventSpec("semi_crossed", STAR10, Rectangle((2, 5), (9, 10)), axis=2), 0.08, "-axis2"),
+    _case(EventSpec("spans", PLAIN16, Rectangle((6, 9), (6, 9))), 0.07, "-inside"),
+    _case(EventSpec("spans", STAR6, Rectangle((3, 4), (3, 4))), 0.05, "-inside"),
+    _case(EventSpec("long_span", STAR6, long_threshold=3), 0.08),
+    _case(EventSpec("long_span", StructureSpec.slab(6, 2, 1, 3, 2), long_threshold=3), 0.05),
 ]
 
 
-@pytest.mark.parametrize("event,p", EVENT_CASES,
-                         ids=[f"{e.kind}-{e.structure.family}{e.structure.n}"
-                              for e, _ in EVENT_CASES])
+@pytest.mark.parametrize("event,p", EVENT_CASES)
 def test_estimate_event_prob_equals_per_trial_loop(event, p):
     trials, seed = 300, -7
     est = estimate_event_prob(event, p, trials, seed)
@@ -284,3 +316,109 @@ def test_blocks_of_one_trial_on_a_large_structure():
         assert est == reference_estimate(event, p, 3, 3)
         outcomes.add(est.p_hat)
     assert outcomes == {0.0, 1.0}
+
+
+# --- the closure engine against the engine it replaced ------------------------
+
+def reference_closure_flat(nbrs, thresholds, infected):
+    """Counter/frontier closure on one flat grid, with an O(|V|) bincount and
+    threshold test every round: the single-grid engine that served
+    ``closure``, ``closure_uniform`` and the crossing events before the
+    block engine, kept here as its reference.  Mutates and returns
+    ``infected``."""
+    size = infected.size
+    counts = np.zeros(size, dtype=np.int64)
+    frontier = np.flatnonzero(infected)
+    remaining = size - frontier.size
+    while frontier.size and remaining:
+        touched = nbrs[frontier].ravel()
+        touched = touched[touched >= 0]
+        counts += np.bincount(touched, minlength=size)
+        newly = np.flatnonzero(~infected & (counts >= thresholds))
+        infected[newly] = True
+        remaining -= newly.size
+        frontier = newly
+    return infected
+
+
+def reference_closure(spec, mask):
+    nbrs, _ = grid_tables(spec.shape)
+    return reference_closure_flat(nbrs, threshold_table(spec), mask.ravel().copy()).reshape(mask.shape)
+
+
+def random_block(rng, rows, shape):
+    """Rows of random initial sets, each at its own density in [0, 0.6)."""
+    density = rng.uniform(0.0, 0.6, (rows,) + (1,) * len(shape))
+    return rng.random((rows,) + shape) < density
+
+
+# 130 x 130 has more than 2**14 vertices, so a single grid takes sparse rounds.
+ENGINE_SPECS = CLOSURE_SPECS + [StructureSpec.plain(130, 2, 2)]
+
+
+@pytest.mark.parametrize("spec", ENGINE_SPECS, ids=str)
+def test_closure_engine_equals_reference(spec):
+    rng = np.random.default_rng([7, spec.n, spec.d, spec.r, spec.ell, spec.k])
+    small = random_block(rng, 40 if spec.num_vertices < 1000 else 3, spec.shape)
+    for row, got in zip(small, closure_batch(spec, small)):
+        want = reference_closure(spec, row)
+        assert np.array_equal(got, want)
+        assert np.array_equal(closure(spec, CellSet.from_mask(row)).mask, want)
+    # A block of at least 2**14 vertices takes the wide and narrow rounds.
+    large = random_block(rng, (1 << 14) // spec.num_vertices + 1, spec.shape)
+    for row, got in zip(large, closure_batch(spec, large)):
+        assert np.array_equal(got, reference_closure(spec, row))
+
+
+@pytest.mark.parametrize("lo,hi,t", [
+    ((1, 1), (6, 6), 2),
+    ((2, 3), (5, 9), 1),
+    ((1, 1, 1), (4, 4, 4), 3),
+    ((2, 1, 1), (3, 3, 4), 2),
+    ((1, 1), (6, 6), 9),  # above every neighbour count
+    ((1, 1), (130, 130), 2),  # more than 2**14 vertices
+])
+def test_closure_uniform_equals_reference(lo, hi, t):
+    box = Rectangle(lo, hi)
+    rng = np.random.default_rng([11, t, *hi])
+    nbrs, size = grid_tables(box.dim)
+    for density in (0.02, 0.1, 0.3):
+        mask = rng.random(hi) < density
+        inside = tuple(slice(a - 1, b) for a, b in zip(lo, hi))
+        want = reference_closure_flat(nbrs, np.full(size, t), mask[inside].ravel().copy())
+        got = closure_uniform(box, CellSet.from_mask(mask), t)
+        assert np.array_equal(got.mask[inside].ravel(), want)
+        assert not (got.mask & ~np.pad(np.ones(box.dim, dtype=bool),
+                                       [(a - 1, 0) for a in lo])).any()
+
+
+# --- event inputs are checked when the event is built -------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: EventSpec("semi_crossed", STAR4, Rectangle((1, 1), (4, 4)), axis=0),
+    lambda: EventSpec("semi_crossed", STAR4, Rectangle((1, 1), (4, 4)), axis=3),
+    lambda: EventSpec("semi_crossed", STAR4, Rectangle((1, 1), (4, 4)), axis="1"),
+    lambda: EventSpec("semi_crossed", STAR4, Rectangle((1, 1), (4, 4)), axis=1.5),
+    lambda: EventSpec("crossed", SLAB4, Rectangle((1, 1), (4, 4)), CrossDirection(3)),
+    lambda: EventSpec("crossed", SLAB4, Rectangle((1, 1), (4, 4)), CrossDirection(1.7)),
+    lambda: EventSpec("crossed", SLAB4, Rectangle((1, 1), (4, 4)), CrossDirection(1, "false")),
+    lambda: EventSpec("crossed", StructureSpec.slab(4, 3, 1, 3, 2), Rectangle((1, 1, 1), (4, 4, 4))),
+    lambda: EventSpec("spans", StructureSpec.plain(6, 2, 2), Rectangle((1, 1, 1), (9, 9, 9))),
+    lambda: EventSpec("spans", PLAIN5, Rectangle((1, 1), (5, 6))),
+    lambda: EventSpec("crossed", SLAB4, Rectangle((2, 1), (5, 4))),
+    lambda: EventSpec("semi_crossed", STAR4, Rectangle((0, 1), (2, 2))),
+    lambda: EventSpec("long_span", PLAIN5, Rectangle((1, 1), (6, 6)), long_threshold=3),
+    lambda: EventSpec("long_span", PLAIN5, long_threshold="3"),
+    lambda: EventSpec("long_span", PLAIN5, long_threshold=True),
+    lambda: Rectangle((1.5, 1), (3, 3)),
+])
+def test_event_spec_refuses_bad_inputs(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_event_spec_keeps_good_inputs():
+    event = EventSpec("semi_crossed", STAR4, Rectangle((1, 1), (4, 4)), axis=np.int64(2))
+    assert event.axis == 2 and type(event.axis) is int
+    assert CrossDirection(np.int64(2), np.bool_(True)) == TOP_TO_BOTTOM
+    assert EventSpec("long_span", PLAIN5, long_threshold=2.5).long_threshold == 2.5
