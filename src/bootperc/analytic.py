@@ -9,6 +9,7 @@ b = 1 - (1-u)^k and c = u (1-u)^k; ``g(k, z) = -log(beta(k, 1 - e^-z))``;
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .structures import DomainError
@@ -30,8 +31,8 @@ class QuadratureSettings:
     max_depth: int = 60
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
+        if not 0 < self.abs_tol < math.inf:
+            raise DomainError(f"abs_tol must be positive and finite, not {self.abs_tol}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -136,9 +137,18 @@ def lambda_constant(d: int, r: int,
     a_exp = d - r + 1
     kk = r - 1
     tol = settings.abs_tol
+    tiny = sys.float_info.min
 
     def f(z: float) -> float:
-        return g(kk, z ** a_exp)
+        # A large a_exp takes z^a_exp out of the float range.  Below it,
+        # g(k, x) = -log(x) / 2 to double precision; above it, g is 0.
+        try:
+            x = z ** a_exp
+        except OverflowError:
+            return 0.0
+        if x < tiny:
+            return -0.5 * a_exp * math.log(z)
+        return g(kk, x)
 
     # (0, 1] via z = e^-s: the transformed integrand decays like s * e^-s,
     # so s = 60 leaves a remainder far below any supported tolerance.

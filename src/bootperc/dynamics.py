@@ -206,16 +206,26 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     if min(box.lo) < 1:
         raise DomainError("box coordinates must be >= 1")
     dims = box.dim
+    inside = tuple(slice(a - 1, b) for a, b in zip(box.lo, box.hi))
     infected = np.zeros((1,) + dims, dtype=bool)
-    for c in cells:
-        c = tuple(int(x) for x in c)
-        if len(c) != len(dims):
-            raise DomainError(f"coordinate {c} has wrong arity for the box")
-        if box.contains(c):
-            infected[(0,) + tuple(x - a for x, a in zip(c, box.lo))] = True
+    if isinstance(cells, CellSet):
+        if len(cells.shape) != len(dims):
+            raise DomainError(f"cell set of shape {cells.shape} has wrong arity for the box")
+        window = cells.mask[inside]
+        infected[(0,) + tuple(map(slice, window.shape))] = window
+    else:
+        for c in cells:
+            try:
+                c = tuple(operator.index(x) for x in c)
+            except TypeError as exc:
+                raise DomainError(f"coordinate {c!r} is not a sequence of integers") from exc
+            if len(c) != len(dims):
+                raise DomainError(f"coordinate {c} has wrong arity for the box")
+            if box.contains(c):
+                infected[(0,) + tuple(x - a for x, a in zip(c, box.lo))] = True
     _close(np.full(prod(dims), min(t, _NEVER), dtype=np.uint8), infected)
     out = CellSet(box.hi)
-    out.mask[tuple(slice(a - 1, b) for a, b in zip(box.lo, box.hi))] = infected[0]
+    out.mask[inside] = infected[0]
     return out
 
 

@@ -129,13 +129,12 @@ class EventSpec:
             hits = semi_crossed_batch(spec, self.rectangle, masks, self.axis or 1)
         else:
             boxes = span_boxes_batch(spec, masks)
-            rows, lo, hi = boxes[:, 0], boxes[:, 1:1 + spec.d], boxes[:, 1 + spec.d:]
             if self.kind == SPANS:
-                rect = self.rectangle
-                mine = (lo == np.subtract(rect.lo, 1)).all(axis=1) & (hi == rect.hi).all(axis=1)
-                return len(np.unique(rows[mine]))
+                rect = tuple(slice(a - 1, b) for a, b in zip(self.rectangle.lo, self.rectangle.hi))
+                return len({box[0].start for box in boxes if box[1:] == rect})
+            rows = np.array([box[0].start for box in boxes], dtype=np.intp)
             longest = np.zeros(len(masks), dtype=np.int64)
-            np.maximum.at(longest, rows, (hi - lo).max(axis=1))
+            np.maximum.at(longest, rows, [max(s.stop - s.start for s in box[1:]) for box in boxes])
             hits = longest >= self.long_threshold
         return int(hits.sum())
 
@@ -356,7 +355,7 @@ class SweepConfig:
     @staticmethod
     def from_json(obj: dict) -> "SweepConfig":
         try:
-            master_seed = int(obj["masterSeed"])
+            master_seed = operator.index(obj["masterSeed"])
             grid = obj["grid"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad sweep config: {exc}") from exc
@@ -366,7 +365,7 @@ class SweepConfig:
                 structure = StructureSpec.from_json(entry["structure"])
                 event = EventSpec.from_json(entry["event"], structure)
                 ps = entry["p"]
-                trials = int(entry["trials"])
+                trials = operator.index(entry["trials"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"bad sweep grid entry: {exc}") from exc
             if not isinstance(ps, (list, tuple)):

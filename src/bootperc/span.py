@@ -13,6 +13,7 @@ from .structures import (
     Rectangle,
     StructureSpec,
     grid_tables,
+    label_boxes,
     label_rows,
     projection,
     threshold_table,
@@ -30,41 +31,28 @@ class SpanResult:
 
 
 def _rectangle(box: tuple[slice, ...]) -> Rectangle:
-    """The 1-based inclusive rectangle of a 0-based ``find_objects`` box."""
-    return Rectangle(tuple(s.start + 1 for s in box), tuple(s.stop for s in box))
+    """The 1-based inclusive rectangle of a ``label_boxes`` box whose first slice is its row."""
+    return Rectangle(tuple(s.start + 1 for s in box[1:]), tuple(s.stop for s in box[1:]))
 
 
-def _span_rectangles(spec: StructureSpec, cells: CellSet) -> list[Rectangle]:
-    """Bounding rectangles of the components of the projected closure, in
-    label order, which is the order of each component's least member."""
-    from scipy import ndimage
+def span_boxes_batch(spec: StructureSpec, masks: np.ndarray) -> list[tuple[slice, ...]]:
+    """The span of every row of a block of initial sets ``(B, *spec.shape)``:
+    the 0-based ``label_boxes`` box of every component of every row's
+    projected closure, with the row as its first slice.
 
-    labels, _ = ndimage.label(projection(spec, closure(spec, cells)).mask)
-    return [_rectangle(box) for box in ndimage.find_objects(labels)]
-
-
-def span_boxes_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
-    """The span of every row of a block of initial sets ``(B, *spec.shape)``
-    as an int array of shape ``(m, 1 + 2 * d)``: one line per rectangle,
-    holding its row and then its 0-based ``lo`` and exclusive ``hi``.
-
-    The block is closed, projected and labelled at once; each
-    ``ndimage.find_objects`` box carries its row in its first slice.  Lines
-    come in row order, and within a row in ``span_direct``'s order.
+    The block is closed, projected and labelled at once.  Boxes come in row
+    order, and within a row in order of each component's least member.
     """
-    from scipy import ndimage
-
     closed = closure_batch(spec, masks)
     proj = closed.any(axis=tuple(range(spec.d + 1, closed.ndim))) if spec.ell else closed
     labels, _ = label_rows(proj)
-    lines = [[box[0].start, *(s.start for s in box[1:]), *(s.stop for s in box[1:])]
-             for box in ndimage.find_objects(labels)]
-    return np.array(lines, dtype=np.int64).reshape(len(lines), 1 + 2 * spec.d)
+    return label_boxes(labels)
 
 
 def span_direct(spec: StructureSpec, cells: CellSet) -> SpanResult:
-    """<A>: bounding rectangles of the components of the projected closure."""
-    return SpanResult(tuple(_span_rectangles(spec, cells)))
+    """<A>: bounding rectangles of the components of the projected closure, in
+    order of each component's least member; ``span_boxes_batch`` at B = 1."""
+    return SpanResult(tuple(map(_rectangle, span_boxes_batch(spec, cells.mask[None]))))
 
 
 def _dilate(mask: np.ndarray) -> np.ndarray:
@@ -84,15 +72,13 @@ class _Piece:
     __slots__ = ("cells", "closed", "proj", "near", "rect", "reach")
 
     def __init__(self, spec: StructureSpec, cells: np.ndarray):
-        from scipy import ndimage
-
         self.cells = cells
         closed = closure(spec, CellSet.from_mask(cells))
         self.closed = closed.mask
         self.proj = projection(spec, closed).mask
         self.near = _dilate(self.proj)
         self.reach = _dilate(self.closed)
-        self.rect = _rectangle(ndimage.find_objects(self.proj.view(np.int8))[0])
+        self.rect = _rectangle(label_boxes(self.proj[None].view(np.int8))[0])
 
 
 def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
@@ -154,8 +140,8 @@ def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
 
 def internally_spans(spec: StructureSpec, rect: Rectangle, cells: CellSet) -> bool:
     """True iff A's cells inside R alone span R, i.e. R is in <A cap R>."""
-    inside = CellSet.from_mask(cells.mask & rect.cells(spec).mask)
-    return rect in _span_rectangles(spec, inside)
+    inside = cells.mask & rect.cells(spec).mask
+    return rect in map(_rectangle, span_boxes_batch(spec, inside[None]))
 
 
 def find_spanned_rectangle(spec: StructureSpec, cells: CellSet, length: int) -> Rectangle | None:
@@ -176,8 +162,16 @@ def find_spanned_component(spec: StructureSpec, cells: CellSet, length: int) -> 
     """An internally filled connected set X with length <= diam(X) <= 2*length.
 
     Replays the closure one newly infectable cell at a time (least eligible
-    cell in canonical order) and returns the first qualifying component of
-    the infected set; None if the diameter never reaches ``length``.
+    cell in canonical order) and returns the first component of the
+    infected set, in least-member order, whose diameter (the longest side of
+    its bounding box) is in range; None if none ever is.
+
+    Every component C of every replay state is internally filled, C being a
+    subset of [A cap C]: a replayed cell has enough infected neighbours, all
+    in its own component, and components only merge.  So the diameter is
+    the only test.  A component without the cell just infected is unchanged
+    since the previous state, where it failed that test, so after the first
+    state only the new cell's component is tested.
     """
     if length < 1:
         raise DomainError("target length must be >= 1")
@@ -187,35 +181,21 @@ def find_spanned_component(spec: StructureSpec, cells: CellSet, length: int) -> 
     nbrs, size = grid_tables(spec.shape)
     thresholds = threshold_table(spec)
     infected = cells.mask.ravel().copy()
-    counts = np.zeros(size, dtype=np.int64)
-    seeds = np.flatnonzero(infected)
-    if seeds.size:
-        touched = nbrs[seeds].ravel()
-        counts += np.bincount(touched[touched >= 0], minlength=size)
-
-    from scipy import ndimage
-
-    def witness() -> CellSet | None:
-        # Components in least-member order; a component's diameter is the
-        # longest side of its bounding box.
-        labels, _ = ndimage.label(infected.reshape(spec.shape))
-        for lab, box in enumerate(ndimage.find_objects(labels), start=1):
-            if length <= max(s.stop - s.start for s in box) <= 2 * length:
-                comp = labels == lab
-                filled = closure(spec, CellSet.from_mask(cells.mask & comp))
-                if not (comp & ~filled.mask).any():
-                    return CellSet.from_mask(comp)
-        return None
-
-    found = witness()
-    while found is None:
+    touched = nbrs[infected].ravel()
+    counts = np.bincount(touched[touched >= 0], minlength=size)
+    labels, _ = label_rows(infected.reshape((1,) + spec.shape))
+    candidates = enumerate(label_boxes(labels), start=1)  # every component, at first
+    while True:
+        for lab, box in candidates:
+            if length <= max(s.stop - s.start for s in box[1:]) <= 2 * length:
+                return CellSet.from_mask(labels[0] == lab)
         eligible = np.flatnonzero(~infected & (counts >= thresholds))
         if not eligible.size:
             return None
         v = int(eligible[0])  # least cell in canonical (flat) order
         infected[v] = True
         touched = nbrs[v]
-        touched = touched[touched >= 0]
-        counts[touched] += 1
-        found = witness()
-    return found
+        counts[touched[touched >= 0]] += 1
+        labels, _ = label_rows(infected.reshape((1,) + spec.shape))
+        lab = labels.flat[v]
+        candidates = [(lab, label_boxes((labels == lab).view(np.int8))[0])]

@@ -1,4 +1,4 @@
-"""Lattice bootstrap structures: coordinates, thresholds, adjacency, geometry.
+"""Lattice bootstrap structures: coordinates, thresholds, adjacency, geometry, labelling.
 
 The lattice is [n]^d x [k]^ell with 1-based coordinates.  The first d axes
 are "horizontal", the trailing ell axes are "thickness".  Three families are
@@ -320,15 +320,8 @@ def components(spec_or_shape, cells: CellSet) -> list[CellSet]:
     shape = _resolve_shape(spec_or_shape)
     if cells.shape != shape:
         raise DomainError("cell set does not match the ambient grid")
-    from scipy import ndimage
-
-    labels, count = ndimage.label(cells.mask)
-    out = []
-    for lab in range(1, count + 1):
-        out.append(CellSet.from_mask(labels == lab))
-    # ndimage assigns labels in scan (canonical) order of first occurrence,
-    # so the list is already ordered by least member; keep it explicit anyway.
-    return out
+    labels, count = label_rows(cells.mask[None])
+    return [CellSet.from_mask(labels[0] == lab) for lab in range(1, count + 1)]
 
 
 def diameter(spec_or_shape, cells: CellSet) -> int:
@@ -340,27 +333,32 @@ def diameter(spec_or_shape, cells: CellSet) -> int:
     shape = _resolve_shape(spec_or_shape)
     if cells.shape != shape:
         raise DomainError("cell set does not match the ambient grid")
-    from scipy import ndimage
-
-    labels, count = ndimage.label(cells.mask)
-    best = 0
-    for sl in ndimage.find_objects(labels):
-        if sl is None:
-            continue
-        best = max(best, max(s.stop - s.start for s in sl))
-    return best
+    labels, _ = label_rows(cells.mask[None])
+    return max((max(s.stop - s.start for s in box[1:]) for box in label_boxes(labels)),
+               default=0)
 
 
 def label_rows(block: np.ndarray) -> tuple[np.ndarray, int]:
     """``ndimage.label`` of every row of a bool block ``(B, *shape)`` at once:
     nearest-neighbour components within each row, never across rows.
-    Labels run in scan order, so each row's labels follow the previous row's.
+    Labels run in scan order, so they are ordered by least member and each
+    row's labels follow the previous row's.  The only labelling in bootperc.
     """
     from scipy import ndimage
 
     structure = np.zeros((3,) * block.ndim, dtype=bool)
     structure[1] = ndimage.generate_binary_structure(block.ndim - 1, 1)
     return ndimage.label(block, structure)
+
+
+def label_boxes(labels: np.ndarray) -> list[tuple[slice, ...]]:
+    """The 0-based bounding box of each label of ``labels``, in label order,
+    as ``ndimage.find_objects`` gives it.  A bool mask viewed as int8 is
+    one label, whose box is the mask's.
+    """
+    from scipy import ndimage
+
+    return ndimage.find_objects(labels)
 
 
 @lru_cache(maxsize=64)

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
@@ -141,6 +142,33 @@ def scipy_lambda(d, r):
                                  (7, 7)])
 def test_lambda_matches_scipy_oracle(d, r):
     assert lambda_constant(d, r) == pytest.approx(scipy_lambda(d, r), abs=1e-7)
+
+
+def mpmath_lambda(d, r):
+    """Independent oracle for the threshold constant in 30-digit arithmetic,
+    where z^(d-r+1) neither underflows nor overflows."""
+    a, k = d - r + 1, r - 1
+    with mpmath.workdps(30):
+        def f(z):
+            x = z ** a
+            u, w = -mpmath.expm1(-x), mpmath.exp(-k * x)
+            b, c = 1 - w, u * w
+            return -mpmath.log((b + mpmath.sqrt(b * b + 4 * c)) / 2)
+
+        return float(mpmath.quad(f, [0, 0.5, 0.9, 1, 1.1, 2, mpmath.inf]))
+
+
+@pytest.mark.parametrize("d,r", [(14, 2), (20, 2), (40, 2), (40, 20)])
+def test_lambda_of_large_exponent_matches_mpmath_oracle(d, r):
+    # The integrand is g(r-1, z^(d-r+1)), whose argument leaves the float
+    # range at both ends when d - r + 1 is large.
+    assert lambda_constant(d, r) == pytest.approx(mpmath_lambda(d, r), abs=1e-8)
+
+
+def test_quadrature_settings_refuse_non_finite_tolerance():
+    for tol in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            QuadratureSettings(abs_tol=tol)
 
 
 def test_lambda_closed_form():

@@ -253,6 +253,32 @@ def test_spans_rectangle_of_wrong_arity_is_config_error(capsys, tmp_path):
     assert "arity" in result[2]
 
 
+@pytest.mark.parametrize("field,value", [("masterSeed", 7.9), ("trials", 10.7)])
+def test_sweep_with_fractional_seed_or_trials_is_config_error(capsys, tmp_path, field, value):
+    # Both used to be truncated: seed 7.9 ran as 7 and 10.7 trials as 10.
+    point = {"structure": {"family": "plain", "n": 4, "d": 2, "r": 2},
+             "event": {"kind": "percolates"}, "p": 0.3, "trials": 10}
+    config = {"masterSeed": 7, "grid": [point]}
+    (config if field == "masterSeed" else point)[field] = value
+    result = run(capsys, "sweep", "--config", write_json(tmp_path, "c.json", config),
+                 "--out", str(tmp_path / "rows.csv"))
+    assert_clean_config_error(*result)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_lambda_non_finite_tolerance_is_config_error(capsys, tol):
+    result = run(capsys, "lambda", "--d", "3", "--r", "2", "--tol", tol)
+    assert_clean_config_error(*result)
+    assert "abs_tol" in result[2]
+
+
+def test_lambda_of_large_dimension(capsys):
+    # z^(d-r+1) underflowed for d - r + 1 >= 13 and ended in a domain error.
+    code, out, _ = run(capsys, "lambda", "--d", "14", "--r", "2")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "6.484005"
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 

@@ -119,6 +119,16 @@ def test_closure_uniform_against_plain():
         closure_uniform(Rectangle((0, 1), (3, 3)), cells, 2)
 
 
+def test_closure_uniform_refuses_non_integer_cells():
+    # (1.7, 2.9) used to be truncated to the cell (1, 2).
+    box = Rectangle((1, 1), (5, 5))
+    with pytest.raises(DomainError):
+        closure_uniform(box, [(1.7, 2.9)], 2)
+    with pytest.raises(DomainError):
+        closure_uniform(box, CellSet((5, 5, 2)), 2)
+    assert closure_uniform(box, [(np.int64(1), 2)], 1) == CellSet.full((5, 5))
+
+
 def test_semi_percolation_star():
     # ell = 1 star: base layer needs r = 2, top layer needs r + 1 = 3.
     spec = StructureSpec.star(3, 2, 1, 2)

@@ -1,5 +1,8 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from bootperc.structures import (
     CellSet,
@@ -7,8 +10,11 @@ from bootperc.structures import (
     Rectangle,
     StructureSpec,
     diameter,
+    grid_tables,
+    threshold_table,
 )
 from bootperc.dynamics import closure
+from bootperc.montecarlo import EventSpec, estimate_event_prob, sample_bin, trial_rng
 from bootperc.span import (
     find_spanned_component,
     find_spanned_rectangle,
@@ -16,6 +22,7 @@ from bootperc.span import (
     span_direct,
     span_main_algorithm,
 )
+from test_dynamics import naive_closure
 
 
 def random_cells(spec, rng, p):
@@ -145,3 +152,129 @@ def test_witnesses_randomized():
         assert comp is not None
         assert length <= diameter(spec, comp) <= 2 * length
         checked += 1
+
+
+# --- the component witness against the algorithm it replaced -------------------
+
+def reference_spanned_component(spec, cells, length):
+    """The component witness as first written: after every replayed
+    infection it relabels the grid, and tests every component of the right
+    diameter for being internally filled with a fresh closure."""
+    if length < 1:
+        raise DomainError("target length must be >= 1")
+    if cells.shape != spec.shape:
+        raise DomainError("cell set does not belong to this structure")
+
+    nbrs, size = grid_tables(spec.shape)
+    thresholds = threshold_table(spec)
+    infected = cells.mask.ravel().copy()
+    counts = np.zeros(size, dtype=np.int64)
+    seeds = np.flatnonzero(infected)
+    if seeds.size:
+        touched = nbrs[seeds].ravel()
+        counts += np.bincount(touched[touched >= 0], minlength=size)
+
+    def witness():
+        labels, _ = ndimage.label(infected.reshape(spec.shape))
+        for lab, box in enumerate(ndimage.find_objects(labels), start=1):
+            if length <= max(s.stop - s.start for s in box) <= 2 * length:
+                comp = labels == lab
+                filled = closure(spec, CellSet.from_mask(cells.mask & comp))
+                if not (comp & ~filled.mask).any():
+                    return CellSet.from_mask(comp)
+        return None
+
+    found = witness()
+    while found is None:
+        eligible = np.flatnonzero(~infected & (counts >= thresholds))
+        if not eligible.size:
+            return None
+        v = int(eligible[0])
+        infected[v] = True
+        touched = nbrs[v]
+        touched = touched[touched >= 0]
+        counts[touched] += 1
+        found = witness()
+    return found
+
+
+WITNESS_SPECS = [
+    StructureSpec.plain(8, 2, 1),
+    StructureSpec.plain(8, 2, 2),
+    StructureSpec.star(6, 2, 1, 1),
+    StructureSpec.star(6, 2, 1, 2),
+    StructureSpec.slab(6, 2, 1, 3, 1),
+    StructureSpec.slab(6, 2, 1, 3, 2),
+]
+
+
+@pytest.mark.parametrize("spec", WITNESS_SPECS, ids=str)
+def test_find_spanned_component_equals_reference(spec):
+    rng = np.random.default_rng([3, spec.n, spec.r, spec.ell, spec.k])
+    found = 0
+    for _ in range(15):
+        a = random_cells(spec, rng, rng.uniform(0.0, 0.25))
+        for length in (1, 2, 3):
+            want = reference_spanned_component(spec, a, length)
+            got = find_spanned_component(spec, a, length)
+            assert got == want if want is not None else got is None
+            found += want is not None
+    assert found
+
+
+# --- the span against its definition -------------------------------------------
+
+def span_oracle(spec, cells):
+    """<A> from its definition: the naive closure, its projection as a set
+    of d-prefixes, components by breadth-first search over the projection,
+    and their bounding rectangles, ordered by each component's least member.
+    """
+    shadow = {v[:spec.d] for v in naive_closure(spec, cells)}
+    seen, rects = set(), []
+    for start in sorted(shadow):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = [start], deque([start])
+        while queue:
+            v = queue.popleft()
+            for axis in range(spec.d):
+                for delta in (-1, 1):
+                    w = v[:axis] + (v[axis] + delta,) + v[axis + 1:]
+                    if w in shadow and w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        queue.append(w)
+        rects.append(Rectangle(tuple(map(min, zip(*comp))), tuple(map(max, zip(*comp)))))
+    return tuple(rects)
+
+
+ORACLE_SPECS = [
+    (StructureSpec.plain(6, 2, 2), 0.15),
+    (StructureSpec.plain(4, 3, 2), 0.08),
+    (StructureSpec.star(5, 2, 1, 2), 0.1),
+    (StructureSpec.slab(5, 2, 1, 3, 2), 0.08),
+]
+
+
+@pytest.mark.parametrize("spec,p", ORACLE_SPECS, ids=str)
+def test_span_direct_matches_definition_oracle(spec, p):
+    rng = np.random.default_rng([5, spec.n, spec.d, spec.ell])
+    for _ in range(40):
+        a = random_cells(spec, rng, rng.uniform(0.0, 2 * p))
+        assert span_direct(spec, a).rectangles == span_oracle(spec, a)
+
+
+@pytest.mark.parametrize("spec,p", ORACLE_SPECS, ids=str)
+def test_span_events_match_definition_oracle(spec, p):
+    trials, seed = 60, 17
+    spans = [span_oracle(spec, sample_bin(spec, p, trial_rng(seed, t))) for t in range(trials)]
+    seen = next(rects[0] for rects in spans if rects)  # a rectangle that occurs
+    for rect in (seen, Rectangle((1,) * spec.d, (2,) * spec.d)):
+        hits = sum(rect in rects for rects in spans)
+        event = EventSpec("spans", spec, rect)
+        assert estimate_event_prob(event, p, trials, seed).p_hat == hits / trials
+    for threshold in (2, 3):
+        hits = sum(max((r.long for r in rects), default=0) >= threshold for rects in spans)
+        event = EventSpec("long_span", spec, long_threshold=threshold)
+        assert estimate_event_prob(event, p, trials, seed).p_hat == hits / trials
