@@ -12,6 +12,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .structures import DomainError
 
 
@@ -81,7 +83,14 @@ def q_of_p(p: float) -> float:
 
 def l_exact(ell: int, m: int, u: float) -> float:
     """Exact probability of no L-gap among m+1 primary and ell*m secondary
-    independent events of probability u, by the linear two-term recurrence.
+    independent events of probability u, by the linear two-term recurrence
+    L_j = b L_{j-1} + c L_{j-2} with L_{-1} = L_0 = 1, b = 1 - (1-u)^(ell+1)
+    and c = u (1-u)^(ell+1).
+
+    L_m is read from the m-th power of the recurrence's 2x2 transfer matrix,
+    taken by repeated squaring.  The dominant root of its characteristic
+    polynomial x^2 = b x + c is ``beta(ell + 1, u)``, so L_m decays like
+    beta(ell + 1, u)^m.
     """
     if ell < 0:
         raise DomainError("ell must be >= 0")
@@ -92,11 +101,8 @@ def l_exact(ell: int, m: int, u: float) -> float:
     if m <= 0:
         return 1.0
     w = (1.0 - u) ** (ell + 1)
-    stay, jump = 1.0 - w, u * w
-    prev2, prev1 = 1.0, 1.0
-    for _ in range(m):
-        prev2, prev1 = prev1, stay * prev1 + jump * prev2
-    return prev1
+    power = np.linalg.matrix_power(np.array([[1.0 - w, u * w], [1.0, 0.0]]), m)
+    return float(power[0].sum())
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int) -> float:

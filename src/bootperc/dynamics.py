@@ -11,9 +11,10 @@ passes over the block instead: a bincount, or shifted sums of the
 frontier's mask.  The fixed point is independent of update order, so each
 row of a block is the closure of that row.
 
-``crossed_batch`` and ``semi_crossed_batch`` evaluate the crossing events on
-every row of a block with one closure and, for crossing, one labelling;
+``crossed_batch`` and ``semi_crossed_batch`` close every row of a block on
+one padded local grid: R plus a ghost layer, or plus a layer on each side.
 ``is_crossed`` and ``is_semi_crossed`` are their forms for one initial set.
+Each event's input rule is one function here, which ``EventSpec`` calls too.
 """
 
 from __future__ import annotations
@@ -206,12 +207,11 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     if min(box.lo) < 1:
         raise DomainError("box coordinates must be >= 1")
     dims = box.dim
-    inside = tuple(slice(a - 1, b) for a, b in zip(box.lo, box.hi))
     infected = np.zeros((1,) + dims, dtype=bool)
     if isinstance(cells, CellSet):
         if len(cells.shape) != len(dims):
             raise DomainError(f"cell set of shape {cells.shape} has wrong arity for the box")
-        window = cells.mask[inside]
+        window = cells.mask[box.slices]
         infected[(0,) + tuple(map(slice, window.shape))] = window
     else:
         for c in cells:
@@ -225,8 +225,14 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
                 infected[(0,) + tuple(x - a for x, a in zip(c, box.lo))] = True
     _close(np.full(prod(dims), min(t, _NEVER), dtype=np.uint8), infected)
     out = CellSet(box.hi)
-    out.mask[inside] = infected[0]
+    out.mask[box.slices] = infected[0]
     return out
+
+
+def _check_rows(spec: StructureSpec, masks: np.ndarray) -> None:
+    """The rule for a block of initial sets: its rows belong to spec."""
+    if masks.shape[1:] != spec.shape:
+        raise DomainError("cell sets do not belong to this structure")
 
 
 def closure_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
@@ -235,8 +241,7 @@ def closure_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
     ``closure(spec, CellSet.from_mask(masks[i])).mask``.  ``masks`` is not
     changed.
     """
-    if masks.shape[1:] != spec.shape:
-        raise DomainError("cell sets do not belong to this structure")
+    _check_rows(spec, masks)
     return _close(_spec_thresholds(spec), np.array(masks, dtype=bool, order="C"))
 
 
@@ -249,10 +254,15 @@ def _base_layer_index(spec: StructureSpec) -> tuple:
     return (slice(None),) * spec.d + (0,) * spec.ell
 
 
+def check_semi_percolation(spec: StructureSpec) -> None:
+    """The star rule of semi-percolation and semi-crossing."""
+    if spec.family != STAR:
+        raise DomainError("semi-percolation and semi-crossing are defined for star structures")
+
+
 def semi_percolates(spec: StructureSpec, cells: CellSet) -> bool:
     """True iff the closure contains every vertex of minimal threshold r."""
-    if spec.family != STAR:
-        raise DomainError("semi-percolation is defined for star structures")
+    check_semi_percolation(spec)
     closed = closure(spec, cells)
     return bool(closed.mask[_base_layer_index(spec)].all())
 
@@ -265,28 +275,33 @@ def check_rectangle(spec: StructureSpec, rect: Rectangle) -> None:
         raise DomainError("rectangle out of bounds")
 
 
-def _check_block(spec: StructureSpec, rect: Rectangle, masks: np.ndarray) -> None:
-    """Shared input check of the crossing events: the rows of ``masks``
-    belong to spec and R obeys ``check_rectangle``."""
-    if masks.shape[1:] != spec.shape:
-        raise DomainError("cell set does not belong to this structure")
+def check_crossing(spec: StructureSpec, rect: Rectangle, direction: CrossDirection) -> None:
+    """The crossing rule: a slab with d = 2, R in bounds and the axis in 1..d."""
+    if spec.family != SLAB or spec.d != 2:
+        raise DomainError("crossing is defined for slab structures with d = 2")
     check_rectangle(spec, rect)
+    if not 1 <= direction.axis <= spec.d:
+        raise DomainError(f"crossing axis {direction.axis} out of range 1..{spec.d}")
 
 
-def _local_closure(spec: StructureSpec, infected: np.ndarray,
-                   region: np.ndarray | None = None) -> np.ndarray:
-    """Closure of a block of local grids of spec, each of any horizontal
-    extent and full thickness; changes ``infected`` and returns it.
+def check_semi_crossing(spec: StructureSpec, rect: Rectangle, axis: int) -> int:
+    """The semi-crossing rule: the star rule, R in bounds and an axis in 1..d,
+    an integer as for ``CrossDirection``; returns the axis as an int."""
+    check_semi_percolation(spec)
+    check_rectangle(spec, rect)
+    axis = CrossDirection(axis).axis
+    if not 1 <= axis <= spec.d:
+        raise DomainError(f"semi-crossing axis {axis} out of range 1..{spec.d}")
+    return axis
 
-    With ``region`` (a bool mask of one grid) adjacency is restricted to it:
-    cells outside, which must start uninfected, never join and so never
-    count.
+
+def _local_closure(spec: StructureSpec, infected: np.ndarray, region=True) -> np.ndarray:
+    """Closure of a block of local grids of spec, of any horizontal extent
+    and full thickness, in place.  Only cells of ``region`` (a bool mask of
+    one grid, default all) join: cells outside must start uninfected.
     """
-    shape = infected.shape[1:]
-    thresholds = np.tile(column_thresholds(spec), prod(shape[:spec.d]))
-    if region is not None:
-        thresholds = np.where(region.ravel(), thresholds, _NEVER)
-    return _close(_thresholds(thresholds), infected)
+    thresholds = np.tile(column_thresholds(spec), prod(infected.shape[1:spec.d + 1]))
+    return _close(_thresholds(np.where(np.ravel(region), thresholds, _NEVER)), infected)
 
 
 def crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
@@ -294,46 +309,24 @@ def crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
     """``is_crossed`` on every row of a block of initial sets of shape
     ``(B, *spec.shape)``, as a bool array of length B.
 
-    The ghost-plane grids of all rows are closed as one block and labelled
-    at once, with no links along the block axis, so a label never spans two
-    rows.
+    The local grid is R plus the ghost layer, kept infected through closure
+    and labelling.  The ghost layer is a box, so it lies in one component;
+    as the cells of R next to it form the entry face, that component holds
+    exactly the components of the closure within R that touch the entry
+    face.  So R is crossed iff its label is on the exit layer.  The first
+    cell of a row's local grid, or its last when reversed, is a ghost cell,
+    and no label spans two rows.
     """
-    if spec.family != SLAB:
-        raise DomainError("crossing is defined for slab structures")
-    if spec.d != 2:
-        raise DomainError("crossing requires d = 2")
-    _check_block(spec, rect, masks)
-    ax, reverse = direction.axis - 1, direction.reverse
-    if not 0 <= ax < spec.d:
-        raise DomainError("crossing axis out of range")
-
-    # Local grid: R plus one ghost layer along the entry side of the axis.
-    dims = list(rect.dim) + [spec.k] * spec.ell
-    dims[ax] += 1
-    shape = tuple(dims)
-    ghost_local = 0 if not reverse else shape[ax] - 1
-    entry_local = 1 if not reverse else shape[ax] - 2
-    exit_local = shape[ax] - 1 if not reverse else 0
-    if rect.dim[ax] == 1:
-        entry_local = exit_local
-
-    def axis_layer(i: int) -> tuple:
-        return (slice(None),) * (ax + 1) + (i,)
-
-    infected = np.zeros((len(masks),) + shape, dtype=bool)
-    src = (slice(None),) + tuple(slice(a - 1, b) for a, b in zip(rect.lo, rect.hi))
-    dest = [slice(None)] * (len(shape) + 1)
-    dest[ax + 1] = slice(1, None) if not reverse else slice(None, -1)
-    infected[tuple(dest)] = masks[src]
-    infected[axis_layer(ghost_local)] = True
-
-    closed = _local_closure(spec, infected)
-    closed[axis_layer(ghost_local)] = False
-    labels, count = label_rows(closed)
-    on_entry = np.zeros(count + 1, dtype=bool)
-    on_entry[labels[axis_layer(entry_local)]] = True
-    on_entry[0] = False
-    return on_entry[labels[axis_layer(exit_local)]].reshape(len(masks), -1).any(axis=1)
+    _check_rows(spec, masks)
+    check_crossing(spec, rect, direction)
+    ax = direction.axis - 1
+    ghost, exit_ = (-1, 0) if direction.reverse else (0, -1)
+    pad = [(0, 0)] * masks.ndim
+    pad[ax + 1] = (0, 1) if direction.reverse else (1, 0)
+    infected = np.pad(masks[(slice(None),) + rect.slices], pad, constant_values=True)
+    labels, _ = label_rows(_local_closure(spec, infected))
+    exits = labels[(slice(None),) * (ax + 1) + (exit_,)].reshape(len(masks), -1)
+    return (exits == labels.reshape(len(masks), -1)[:, [ghost]]).any(axis=1)
 
 
 def is_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
@@ -347,45 +340,27 @@ def is_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
 def semi_crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
                        axis: int = 1) -> np.ndarray:
     """``is_semi_crossed`` on every row of a block of initial sets of shape
-    ``(B, *spec.shape)``, as a bool array of length B.  The local grid and
-    its fringes are the same for every row, so the block is closed at once.
+    ``(B, *spec.shape)``, as a bool array of length B.
+
+    The local grid is R plus one layer on each side along the axis, whose
+    base layers are R_t^- and R_t^+.  A fringe outside [n]^d stays outside
+    the region (threshold ``_NEVER``), so it is never infected.
     """
-    if spec.family != STAR:
-        raise DomainError("semi-crossing is defined for star structures")
-    _check_block(spec, rect, masks)
-    ax = axis - 1
-    if not 0 <= ax < spec.d:
-        raise DomainError("semi-crossing axis out of range")
-
-    lo, hi = list(rect.lo), list(rect.hi)
-    glo, ghi = lo.copy(), hi.copy()  # R plus the fringes that lie in [n]^d
-    glo[ax] = max(lo[ax] - 1, 1)
-    ghi[ax] = min(hi[ax] + 1, spec.n)
-    shape = tuple(b - a + 1 for a, b in zip(glo, ghi)) + (spec.k,) * spec.ell
-
-    def absolute_block(alo: Sequence[int], ahi: Sequence[int], top_only: bool) -> tuple:
-        sl = tuple(slice(a - g, h - g + 1) for a, h, g in zip(alo, ahi, glo))
-        sl += ((0,) if top_only else (slice(None),)) * spec.ell
-        return sl
-
-    def fringe(at: int) -> np.ndarray:
-        """Base layer of R's slice at ``at`` along the axis; empty outside [n]."""
-        mask = np.zeros(shape, dtype=bool)
-        if 1 <= at <= spec.n:
-            flo, fhi = lo.copy(), hi.copy()
-            flo[ax] = fhi[ax] = at
-            mask[absolute_block(flo, fhi, top_only=True)] = True
-        return mask
-
-    region = np.zeros(shape, dtype=bool)
-    region[absolute_block(lo, hi, top_only=False)] = True
-    fringe_minus, fringe_plus = fringe(lo[ax] - 1), fringe(hi[ax] + 1)
-
-    src = (slice(None),) + tuple(slice(a - 1, b) for a, b in zip(glo, ghi))
-    infected = (masks[src] & (region | fringe_plus)) | fringe_minus
-    closed = _local_closure(spec, infected, region | fringe_plus | fringe_minus)
-    inside = closed[(slice(None),) + absolute_block(lo, hi, top_only=True)]
-    return inside.reshape(len(masks), -1).all(axis=1)
+    _check_rows(spec, masks)
+    ax = check_semi_crossing(spec, rect, axis) - 1
+    # A on the local grid: indices that wrap at a face of [n]^d fall outside the region.
+    around = rect.slices[:ax] + (slice(None),) + rect.slices[ax + 1:]
+    window = np.take(masks[(slice(None),) + around], range(rect.lo[ax] - 2, rect.hi[ax] + 1),
+                     axis=ax + 1, mode="wrap")
+    # The base layers of the local grid's slices 0, 1..-2 and -1 along the axis.
+    minus, inner, plus = ((..., i) + (slice(None),) * (spec.d - 1 - ax) + (0,) * spec.ell
+                          for i in (0, slice(1, -1), -1))
+    region = np.zeros(window.shape[1:], dtype=bool)
+    region[(slice(None),) * ax + (slice(1, -1),)] = True
+    region[minus], region[plus] = rect.lo[ax] > 1, rect.hi[ax] < spec.n
+    window[minus] = True
+    closed = _local_closure(spec, window & region, region)
+    return closed[inner].reshape(len(masks), -1).all(axis=1)
 
 
 def is_semi_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,

@@ -21,12 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import CellSet, DomainError, Rectangle, StructureSpec, STAR, SLAB
+from .structures import CellSet, DomainError, Rectangle, StructureSpec
 from .dynamics import (
     LEFT_TO_RIGHT,
     CrossDirection,
     _base_layer_index,
+    check_crossing,
     check_rectangle,
+    check_semi_crossing,
+    check_semi_percolation,
     closure_batch,
     crossed_batch,
     is_crossed,
@@ -69,32 +72,25 @@ class EventSpec:
         spec = self.structure
         if self.kind not in _KINDS:
             raise DomainError(f"unknown event kind {self.kind!r}")
-        if self.kind in (SEMI_PERCOLATES, SEMI_CROSSED) and spec.family != STAR:
-            raise DomainError(f"{self.kind} requires a star structure")
-        if self.kind == CROSSED and (spec.family != SLAB or spec.d != 2):
-            raise DomainError("crossed requires a slab structure with d = 2")
         if self.kind in (SPANS, CROSSED, SEMI_CROSSED) and self.rectangle is None:
             raise DomainError(f"{self.kind} requires a rectangle")
         if self.kind == LONG_SPAN and self.long_threshold is None:
             raise DomainError("long_span requires a length threshold")
-        # The block path never reaches the per-trial checks, so every input
-        # is checked here, once.
-        if self.rectangle is not None:
-            check_rectangle(spec, self.rectangle)
-        if self.direction is not None and not 1 <= self.direction.axis <= spec.d:
-            raise DomainError(f"crossing axis {self.direction.axis} out of range 1..{spec.d}")
-        if self.axis is not None:
-            try:
-                axis = operator.index(self.axis)
-            except TypeError as exc:
-                raise DomainError(f"axis must be an integer: {exc}") from exc
-            if not 1 <= axis <= spec.d:
-                raise DomainError(f"axis {axis} out of range 1..{spec.d}")
-            object.__setattr__(self, "axis", axis)
         if self.long_threshold is not None and (
                 isinstance(self.long_threshold, bool)
                 or not isinstance(self.long_threshold, numbers.Real)):
             raise DomainError(f"length threshold must be a number, not {self.long_threshold!r}")
+        # The event rules live in dynamics.  The block path never reaches
+        # the per-trial functions, so they are applied here, once.
+        if self.kind == SEMI_PERCOLATES:
+            check_semi_percolation(spec)
+        if self.kind == CROSSED:
+            check_crossing(spec, self.rectangle, self.direction or LEFT_TO_RIGHT)
+        elif self.kind == SEMI_CROSSED:
+            axis = check_semi_crossing(spec, self.rectangle, 1 if self.axis is None else self.axis)
+            object.__setattr__(self, "axis", None if self.axis is None else axis)
+        elif self.rectangle is not None:
+            check_rectangle(spec, self.rectangle)
 
     def evaluate(self, cells: CellSet) -> bool:
         spec = self.structure
@@ -130,8 +126,7 @@ class EventSpec:
         else:
             boxes = span_boxes_batch(spec, masks)
             if self.kind == SPANS:
-                rect = tuple(slice(a - 1, b) for a, b in zip(self.rectangle.lo, self.rectangle.hi))
-                return len({box[0].start for box in boxes if box[1:] == rect})
+                return len({box[0].start for box in boxes if box[1:] == self.rectangle.slices})
             rows = np.array([box[0].start for box in boxes], dtype=np.intp)
             longest = np.zeros(len(masks), dtype=np.int64)
             np.maximum.at(longest, rows, [max(s.stop - s.start for s in box[1:]) for box in boxes])
@@ -207,12 +202,17 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _check_density(p: float) -> None:
+    """The rule for a density: p lies in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"p = {p} outside [0, 1]")
+
+
 def sample_bin(region, p: float, rng: np.random.Generator) -> CellSet:
     """Bin(region, p): include each vertex independently with probability p,
     one uniform per vertex in canonical order.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p = {p} outside [0, 1]")
+    _check_density(p)
     shape = region.shape if isinstance(region, (StructureSpec, CellSet)) \
         else tuple(int(s) for s in region)
     u = rng.random(int(np.prod(shape)))
@@ -228,8 +228,7 @@ def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
     counter for each trial, and a raw word w gives the uniform
     (w >> 11) * 2**-53, exactly as ``Generator.random`` does.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p = {p} outside [0, 1]")
+    _check_density(p)
     size = spec.num_vertices
     step = max(1, BLOCK_VERTICES // size)
     bits = np.random.Philox(key=0)
@@ -339,6 +338,11 @@ class SweepPoint:
     p: float
     trials: int
 
+    def __post_init__(self) -> None:
+        _check_density(self.p)
+        if self.trials < 1:
+            raise DomainError("trials must be >= 1")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -346,7 +350,6 @@ class SweepConfig:
 
     points: tuple[SweepPoint, ...]
     master_seed: int
-    output: str | None = None
 
     def __post_init__(self) -> None:
         if not self.points:
@@ -359,20 +362,20 @@ class SweepConfig:
             grid = obj["grid"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad sweep config: {exc}") from exc
+        if not isinstance(grid, list):
+            raise DomainError("bad sweep config: 'grid' must be a list")
         points = []
         for entry in grid:
             try:
                 structure = StructureSpec.from_json(entry["structure"])
                 event = EventSpec.from_json(entry["event"], structure)
                 ps = entry["p"]
+                ps = [float(p) for p in (ps if isinstance(ps, list) else [ps])]
                 trials = operator.index(entry["trials"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"bad sweep grid entry: {exc}") from exc
-            if not isinstance(ps, (list, tuple)):
-                ps = [ps]
-            for p in ps:
-                points.append(SweepPoint(structure, event, float(p), trials))
-        return SweepConfig(tuple(points), master_seed, obj.get("output"))
+            points += [SweepPoint(structure, event, p, trials) for p in ps]
+        return SweepConfig(tuple(points), master_seed)
 
 
 SWEEP_COLUMNS = ["family", "n", "d", "ell", "k", "r", "event", "p",
@@ -381,7 +384,6 @@ SWEEP_COLUMNS = ["family", "n", "d", "ell", "k", "r", "event", "p",
 
 def run_sweep(config: SweepConfig, out_path: str | None = None) -> list[dict]:
     """Evaluate every grid point; stream rows to CSV if a path is given."""
-    out_path = out_path or config.output
     rows = []
     writer = None
     handle = None

@@ -237,6 +237,11 @@ class Rectangle:
         return tuple(b - a + 1 for a, b in zip(self.lo, self.hi))
 
     @property
+    def slices(self) -> tuple[slice, ...]:
+        """The rectangle's 0-based index slices of the horizontal axes."""
+        return tuple(slice(a - 1, b) for a, b in zip(self.lo, self.hi))
+
+    @property
     def phi(self) -> int:
         """Semi-perimeter: the sum of the side lengths."""
         return sum(self.dim)
@@ -257,9 +262,7 @@ class Rectangle:
         if len(self.lo) != spec.d:
             raise DomainError("rectangle arity does not match structure")
         mask = np.zeros(spec.shape, dtype=bool)
-        sl = tuple(slice(a - 1, b) for a, b in zip(self.lo, self.hi))
-        sl += (slice(None),) * spec.ell
-        mask[sl] = True
+        mask[self.slices] = True
         return CellSet.from_mask(mask)
 
     def to_json(self) -> list[list[int]]:

@@ -113,6 +113,31 @@ def test_l_exact_edge_cases():
         l_exact(-1, 2, 0.5)
 
 
+def mpmath_l_recurrence(ell, m, u):
+    """The no-L-gap recurrence run step by step in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        u = mpmath.mpf(u)
+        w = (1 - u) ** (ell + 1)
+        prev2 = prev1 = mpmath.mpf(1)
+        for _ in range(m):
+            prev2, prev1 = prev1, (1 - w) * prev1 + u * w * prev2
+        return prev1
+
+
+@pytest.mark.parametrize("ell,u", [(0, 0.9), (1, 0.7), (2, 0.5), (2, 0.97)])
+@pytest.mark.parametrize("m", [1000, 5000])
+def test_l_exact_matches_mpmath_recurrence(ell, m, u):
+    want = mpmath_l_recurrence(ell, m, u)
+    assert want > 1e-300
+    assert abs(l_exact(ell, m, u) - want) <= 1e-12 * want
+
+
+def test_l_exact_underflows_to_zero():
+    # The true value is below 1e-500; a step-by-step float loop stuck at the
+    # subnormal 2.5e-323 here.
+    assert l_exact(1, 10 ** 4, 0.5) == 0.0
+
+
 @given(st.integers(0, 2), st.integers(1, 100),
        st.floats(0.01, 0.99))
 def test_l_exact_sandwich(ell, m, u):

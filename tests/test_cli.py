@@ -265,6 +265,26 @@ def test_sweep_with_fractional_seed_or_trials_is_config_error(capsys, tmp_path, 
     assert_clean_config_error(*result)
 
 
+@pytest.mark.parametrize("point,field,value", [
+    (0, "p", "abc"),
+    (None, "grid", 5),
+    (1, "p", 1.5),
+    (1, "trials", 0),
+], ids=["p-not-a-number", "grid-not-a-list", "p-above-one", "no-trials"])
+def test_bad_sweep_config_writes_no_csv(capsys, tmp_path, point, field, value):
+    # A bad second point used to be refused only after the CSV header and the
+    # first row were written.
+    good = {"structure": {"family": "plain", "n": 4, "d": 2, "r": 2},
+            "event": {"kind": "percolates"}, "p": 0.3, "trials": 10}
+    config = {"masterSeed": 7, "grid": [good, dict(good)]}
+    (config if point is None else config["grid"][point])[field] = value
+    out = tmp_path / "rows.csv"
+    result = run(capsys, "sweep", "--config", write_json(tmp_path, "c.json", config),
+                 "--out", str(out))
+    assert_clean_config_error(*result)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_lambda_non_finite_tolerance_is_config_error(capsys, tol):
     result = run(capsys, "lambda", "--d", "3", "--r", "2", "--tol", tol)

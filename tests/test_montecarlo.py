@@ -15,6 +15,9 @@ from bootperc.dynamics import (
     closure,
     closure_batch,
     closure_uniform,
+    is_crossed,
+    is_semi_crossed,
+    semi_percolates,
 )
 from bootperc.structures import grid_tables, threshold_table
 from bootperc.montecarlo import (
@@ -422,3 +425,53 @@ def test_event_spec_keeps_good_inputs():
     assert event.axis == 2 and type(event.axis) is int
     assert CrossDirection(np.int64(2), np.bool_(True)) == TOP_TO_BOTTOM
     assert EventSpec("long_span", PLAIN5, long_threshold=2.5).long_threshold == 2.5
+
+
+# --- each event rule is one function, shared by EventSpec and the events ------
+
+SQUARE = Rectangle((1, 1), (4, 4))
+
+# (id, kind, structure, rectangle, axis); a crossing axis goes into a
+# CrossDirection.
+BAD_EVENT_INPUTS = [
+    ("crossed-star", "crossed", STAR4, SQUARE, 1),
+    ("crossed-d3", "crossed", StructureSpec.slab(4, 3, 1, 3, 2), Rectangle((1, 1, 1), (4, 4, 4)), 1),
+    ("crossed-axis0", "crossed", SLAB4, SQUARE, 0),
+    ("crossed-axis3", "crossed", SLAB4, SQUARE, 3),
+    ("crossed-axis-string", "crossed", SLAB4, SQUARE, "1"),
+    ("crossed-axis-float", "crossed", SLAB4, SQUARE, 1.5),
+    ("crossed-out-of-bounds", "crossed", SLAB4, Rectangle((2, 1), (5, 4)), 1),
+    ("semi_crossed-slab", "semi_crossed", SLAB4, SQUARE, 1),
+    ("semi_crossed-plain", "semi_crossed", PLAIN5, SQUARE, 1),
+    ("semi_crossed-axis0", "semi_crossed", STAR4, SQUARE, 0),
+    ("semi_crossed-axis3", "semi_crossed", STAR4, SQUARE, 3),
+    ("semi_crossed-axis-string", "semi_crossed", STAR4, SQUARE, "1"),
+    ("semi_crossed-axis-float", "semi_crossed", STAR4, SQUARE, 1.5),
+    ("semi_crossed-out-of-bounds", "semi_crossed", STAR4, Rectangle((0, 1), (2, 2)), 1),
+    ("semi_crossed-wrong-arity", "semi_crossed", STAR4, Rectangle((1, 1, 1), (2, 2, 2)), 1),
+    ("semi_percolates-plain", "semi_percolates", PLAIN5, None, None),
+    ("semi_percolates-slab", "semi_percolates", SLAB4, None, None),
+]
+
+
+def event_routes(kind, spec, rect, axis):
+    """The same event input built as an EventSpec and passed to the public
+    function of its kind."""
+    cells = CellSet(spec.shape)
+    if kind == "crossed":
+        return (lambda: EventSpec(kind, spec, rect, CrossDirection(axis)),
+                lambda: is_crossed(spec, rect, cells, CrossDirection(axis)))
+    if kind == "semi_crossed":
+        return (lambda: EventSpec(kind, spec, rect, axis=axis),
+                lambda: is_semi_crossed(spec, rect, cells, axis))
+    return lambda: EventSpec(kind, spec), lambda: semi_percolates(spec, cells)
+
+
+@pytest.mark.parametrize("case", BAD_EVENT_INPUTS, ids=[case[0] for case in BAD_EVENT_INPUTS])
+def test_bad_event_input_is_refused_alike_on_both_routes(case):
+    messages = []
+    for make in event_routes(*case[1:]):
+        with pytest.raises(DomainError) as info:
+            make()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
