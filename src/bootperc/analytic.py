@@ -21,16 +21,18 @@ class ConvergenceError(ArithmeticError):
     """Adaptive quadrature failed to converge within the depth budget."""
 
 
+_MAX_DEPTH = 60  # the adaptive quadrature's budget of panel halvings
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerance and recursion budget for the threshold-constant integral.
+    """Tolerance for the threshold-constant integral.
 
     The integration tail is cut off where the analytic bound on the
     remainder drops below half of ``abs_tol`` (see ``lambda_constant``).
     """
 
     abs_tol: float = 1e-8
-    max_depth: int = 60
 
     def __post_init__(self) -> None:
         if not 0 < self.abs_tol < math.inf:
@@ -105,7 +107,7 @@ def l_exact(ell: int, m: int, u: float) -> float:
     return float(power[0].sum())
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int) -> float:
+def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     """Standard recursive adaptive Simpson with Richardson error control."""
     fa, fb = f(a), f(b)
     mid = 0.5 * (a + b)
@@ -125,7 +127,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int) -> floa
         return (recurse(a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1)
                 + recurse(m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1))
 
-    return recurse(a, fa, b, fb, mid, fm, whole, tol, max_depth)
+    return recurse(a, fa, b, fb, mid, fm, whole, tol, _MAX_DEPTH)
 
 
 def lambda_constant(d: int, r: int,
@@ -159,11 +161,11 @@ def lambda_constant(d: int, r: int,
     # (0, 1] via z = e^-s: the transformed integrand decays like s * e^-s,
     # so s = 60 leaves a remainder far below any supported tolerance.
     low = _adaptive_simpson(lambda s: f(math.exp(-s)) * math.exp(-s),
-                            0.0, 60.0, 0.25 * tol, settings.max_depth)
+                            0.0, 60.0, 0.25 * tol)
     # [1, Z] with the exponential tail bound: z^a >= z for z >= 1, so the
     # remainder beyond Z is at most 2 e^(-kk Z) / kk.
     z_max = max(1.0, math.log(4.0 / (kk * tol)) / kk)
-    high = _adaptive_simpson(f, 1.0, z_max, 0.25 * tol, settings.max_depth)
+    high = _adaptive_simpson(f, 1.0, z_max, 0.25 * tol)
     return low + high
 
 

@@ -11,9 +11,9 @@ passes over the block instead: a bincount, or shifted sums of the
 frontier's mask.  The fixed point is independent of update order, so each
 row of a block is the closure of that row.
 
-``crossed_batch`` and ``semi_crossed_batch`` close every row of a block on
+Each event is one ``*_batch`` predicate over the rows of a block, of which the
+per-trial event is the form at B = 1.  The crossing events close each row on
 one padded local grid: R plus a ghost layer, or plus a layer on each side.
-``is_crossed`` and ``is_semi_crossed`` are their forms for one initial set.
 Each event's input rule is one function here, which ``EventSpec`` calls too.
 """
 
@@ -189,13 +189,6 @@ def _close(thresholds: np.ndarray, infected: np.ndarray) -> np.ndarray:
     return infected
 
 
-def closure(spec: StructureSpec, cells: CellSet) -> CellSet:
-    """The closure [A]: the least fixed point of the infection rule."""
-    if cells.shape != spec.shape:
-        raise DomainError("cell set does not belong to this structure")
-    return CellSet.from_mask(_close(_spec_thresholds(spec), cells.mask[None].copy())[0])
-
-
 def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     """Closure under the uniform t-neighbor rule, restricted to ``box``.
 
@@ -232,26 +225,32 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
 def _check_rows(spec: StructureSpec, masks: np.ndarray) -> None:
     """The rule for a block of initial sets: its rows belong to spec."""
     if masks.shape[1:] != spec.shape:
-        raise DomainError("cell sets do not belong to this structure")
+        raise DomainError("cell set does not belong to this structure")
 
 
 def closure_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
     """Closures of a block of initial sets: ``masks`` has shape
-    ``(B, *spec.shape)`` and row i of the result is
-    ``closure(spec, CellSet.from_mask(masks[i])).mask``.  ``masks`` is not
-    changed.
+    ``(B, *spec.shape)`` and row i of the result is the closure of row i.
+    ``masks`` is not changed.
     """
     _check_rows(spec, masks)
     return _close(_spec_thresholds(spec), np.array(masks, dtype=bool, order="C"))
 
 
+def closure(spec: StructureSpec, cells: CellSet) -> CellSet:
+    """The closure [A], the least fixed point of the rule: ``closure_batch`` at B = 1."""
+    return CellSet.from_mask(closure_batch(spec, cells.mask[None])[0])
+
+
+def percolates_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
+    """``percolates`` on every row of a block of initial sets of shape
+    ``(B, *spec.shape)``, as a bool array of length B."""
+    return closure_batch(spec, masks).reshape(len(masks), -1).all(axis=1)
+
+
 def percolates(spec: StructureSpec, cells: CellSet) -> bool:
     """True iff the closure is the full vertex set."""
-    return bool(closure(spec, cells).mask.all())
-
-
-def _base_layer_index(spec: StructureSpec) -> tuple:
-    return (slice(None),) * spec.d + (0,) * spec.ell
+    return bool(percolates_batch(spec, cells.mask[None])[0])
 
 
 def check_semi_percolation(spec: StructureSpec) -> None:
@@ -260,11 +259,17 @@ def check_semi_percolation(spec: StructureSpec) -> None:
         raise DomainError("semi-percolation and semi-crossing are defined for star structures")
 
 
+def semi_percolates_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
+    """``semi_percolates`` on every row of a block of initial sets of shape
+    ``(B, *spec.shape)``; the vertices of threshold r are the base layer."""
+    check_semi_percolation(spec)
+    base = closure_batch(spec, masks)[(...,) + (0,) * spec.ell]
+    return base.reshape(len(masks), -1).all(axis=1)
+
+
 def semi_percolates(spec: StructureSpec, cells: CellSet) -> bool:
     """True iff the closure contains every vertex of minimal threshold r."""
-    check_semi_percolation(spec)
-    closed = closure(spec, cells)
-    return bool(closed.mask[_base_layer_index(spec)].all())
+    return bool(semi_percolates_batch(spec, cells.mask[None])[0])
 
 
 def check_rectangle(spec: StructureSpec, rect: Rectangle) -> None:

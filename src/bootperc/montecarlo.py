@@ -8,7 +8,8 @@ and initial set.  The estimators draw the same sets in blocks of trials
 (``sample_blocks``): one Philox bit generator is re-keyed to
 (master seed, t) for each trial t instead of building a generator per
 trial, and a block of at most ``BLOCK_VERTICES`` vertices is evaluated at
-once (``EventSpec.count``).
+once by ``EventSpec.count``, the one dispatch over event kinds;
+``EventSpec.evaluate`` is its form for one initial set.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,20 +25,16 @@ from .structures import CellSet, DomainError, Rectangle, StructureSpec
 from .dynamics import (
     LEFT_TO_RIGHT,
     CrossDirection,
-    _base_layer_index,
     check_crossing,
     check_rectangle,
     check_semi_crossing,
     check_semi_percolation,
-    closure_batch,
     crossed_batch,
-    is_crossed,
-    is_semi_crossed,
-    percolates,
+    percolates_batch,
     semi_crossed_batch,
-    semi_percolates,
+    semi_percolates_batch,
 )
-from .span import span_boxes_batch, span_direct
+from .span import span_boxes_batch
 
 _Z95 = 1.959963984540054
 
@@ -76,12 +72,10 @@ class EventSpec:
             raise DomainError(f"{self.kind} requires a rectangle")
         if self.kind == LONG_SPAN and self.long_threshold is None:
             raise DomainError("long_span requires a length threshold")
-        if self.long_threshold is not None and (
-                isinstance(self.long_threshold, bool)
-                or not isinstance(self.long_threshold, numbers.Real)):
-            raise DomainError(f"length threshold must be a number, not {self.long_threshold!r}")
-        # The event rules live in dynamics.  The block path never reaches
-        # the per-trial functions, so they are applied here, once.
+        if self.long_threshold is not None:
+            _check_number(self.long_threshold, "length threshold")
+        # The event rules live in dynamics; applied here, a bad event is
+        # refused when it is built, before any trial.
         if self.kind == SEMI_PERCOLATES:
             check_semi_percolation(spec)
         if self.kind == CROSSED:
@@ -92,33 +86,16 @@ class EventSpec:
         elif self.rectangle is not None:
             check_rectangle(spec, self.rectangle)
 
-    def evaluate(self, cells: CellSet) -> bool:
-        spec = self.structure
-        if self.kind == PERCOLATES:
-            return percolates(spec, cells)
-        if self.kind == SEMI_PERCOLATES:
-            return semi_percolates(spec, cells)
-        if self.kind == SPANS:
-            return self.rectangle in span_direct(spec, cells).rectangles
-        if self.kind == CROSSED:
-            return is_crossed(spec, self.rectangle, cells, self.direction or LEFT_TO_RIGHT)
-        if self.kind == SEMI_CROSSED:
-            return is_semi_crossed(spec, self.rectangle, cells, self.axis or 1)
-        longest = max((r.long for r in span_direct(spec, cells).rectangles),
-                      default=0)
-        return longest >= self.long_threshold
-
     def count(self, masks: np.ndarray) -> int:
         """Rows of a block of initial sets, shape ``(B, *shape)``, on which
-        the event holds: ``sum(self.evaluate(CellSet.from_mask(row)) for row
-        in masks)``.  Every kind closes the whole block at once.
+        the event holds.  This is the only place the kinds are told apart,
+        and every kind decides the whole block at once.
         """
         spec = self.structure
         if self.kind == PERCOLATES:
-            hits = closure_batch(spec, masks).reshape(len(masks), -1).all(axis=1)
+            hits = percolates_batch(spec, masks)
         elif self.kind == SEMI_PERCOLATES:
-            base = closure_batch(spec, masks)[(slice(None),) + _base_layer_index(spec)]
-            hits = base.reshape(len(masks), -1).all(axis=1)
+            hits = semi_percolates_batch(spec, masks)
         elif self.kind == CROSSED:
             hits = crossed_batch(spec, self.rectangle, masks, self.direction or LEFT_TO_RIGHT)
         elif self.kind == SEMI_CROSSED:
@@ -133,8 +110,9 @@ class EventSpec:
             hits = longest >= self.long_threshold
         return int(hits.sum())
 
-    def label(self) -> str:
-        return self.kind
+    def evaluate(self, cells: CellSet) -> bool:
+        """The event on one initial set: ``count`` at B = 1."""
+        return bool(self.count(cells.mask[None]))
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -180,9 +158,35 @@ class Estimate:
     master_seed: int
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def _estimate(successes: int, trials: int, master_seed: int) -> Estimate:
+    """The estimate from ``successes`` of ``trials`` trials."""
+    return Estimate(successes / trials, trials, *wilson_interval(successes, trials), master_seed)
+
+
+def _check_number(value, name: str, kind=numbers.Real) -> None:
+    """The number rule: a ``kind`` that is not a bool, so JSON's true and "1" are refused."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise DomainError(f"{name} must be {noun}, not {value!r}")
+
+
+def _check_trials(trials: int) -> None:
+    """The rule for a trial count: an integer >= 1."""
+    _check_number(trials, "trials", numbers.Integral)
     if trials < 1:
         raise DomainError("trials must be >= 1")
+
+
+def _check_density(p: float, name: str = "p") -> float:
+    """The rule for a density: a number in [0, 1].  Returns it as a float."""
+    _check_number(p, name)
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"{name} = {p} outside [0, 1]")
+    return float(p)
+
+
+def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+    _check_trials(trials)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -200,12 +204,6 @@ def derive_seed(master_seed: int, index: int) -> int:
     """A stable 64-bit subseed for the index-th child task."""
     ss = np.random.SeedSequence([int(master_seed) & (2 ** 64 - 1), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _check_density(p: float) -> None:
-    """The rule for a density: p lies in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p = {p} outside [0, 1]")
 
 
 def sample_bin(region, p: float, rng: np.random.Generator) -> CellSet:
@@ -257,12 +255,10 @@ def estimate_event_prob(event: EventSpec, p: float, trials: int,
     and evaluated in blocks (``sample_blocks``, ``EventSpec.count``), which
     gives the same count.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    _check_trials(trials)
     successes = sum(event.count(block)
                     for block in sample_blocks(event.structure, p, master_seed, trials))
-    low, high = wilson_interval(successes, trials)
-    return Estimate(successes / trials, trials, low, high, master_seed)
+    return _estimate(successes, trials, master_seed)
 
 
 def estimate_p_alpha(spec: StructureSpec, event, alpha: float,
@@ -284,18 +280,16 @@ def estimate_p_alpha(spec: StructureSpec, event, alpha: float,
         raise DomainError(f"event is on {event.structure}, not on {spec}")
     lo, hi = 0.0, 1.0
     evals = 0
-    total = 0
     while hi - lo >= p_tol:
         mid = 0.5 * (lo + hi)
         est = estimate_event_prob(event, mid, trials_per_eval,
                                   derive_seed(seed, evals))
         evals += 1
-        total += trials_per_eval
         if est.p_hat >= alpha:
             hi = mid
         else:
             lo = mid
-    return Estimate(0.5 * (lo + hi), total, lo, hi, seed)
+    return Estimate(0.5 * (lo + hi), evals * trials_per_eval, lo, hi, seed)
 
 
 def estimate_lgap(ell: int, m: int, u: float, trials: int, master_seed: int) -> Estimate:
@@ -308,17 +302,14 @@ def estimate_lgap(ell: int, m: int, u: float, trials: int, master_seed: int) -> 
     """
     if ell < 0 or m < 0:
         raise DomainError("ell and m must be >= 0")
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"u = {u} outside [0, 1]")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    _check_density(u, "u")
+    _check_trials(trials)
     if m == 0:
-        return Estimate(1.0, trials, *wilson_interval(trials, trials), master_seed)
+        return _estimate(trials, trials, master_seed)
     rng = np.random.Generator(np.random.Philox(key=int(master_seed) & (2 ** 64 - 1)))
     successes = 0
     chunk = 1 << 14
-    done = 0
-    while done < trials:
+    for done in range(0, trials, chunk):
         b = min(chunk, trials - done)
         primary = rng.random((b, m + 1)) < u
         gap = ~primary[:, :m] & ~primary[:, 1:]
@@ -326,9 +317,7 @@ def estimate_lgap(ell: int, m: int, u: float, trials: int, master_seed: int) -> 
             secondary = rng.random((b, ell, m)) < u
             gap &= ~secondary.any(axis=1)
         successes += int((~gap.any(axis=1)).sum())
-        done += b
-    low, high = wilson_interval(successes, trials)
-    return Estimate(successes / trials, trials, low, high, master_seed)
+    return _estimate(successes, trials, master_seed)
 
 
 @dataclass(frozen=True)
@@ -340,8 +329,7 @@ class SweepPoint:
 
     def __post_init__(self) -> None:
         _check_density(self.p)
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
+        _check_trials(self.trials)
 
 
 @dataclass(frozen=True)
@@ -354,13 +342,13 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.points:
             raise DomainError("sweep grid must be nonempty")
+        _check_number(self.master_seed, "masterSeed", numbers.Integral)
 
     @staticmethod
     def from_json(obj: dict) -> "SweepConfig":
         try:
-            master_seed = operator.index(obj["masterSeed"])
-            grid = obj["grid"]
-        except (KeyError, TypeError, ValueError) as exc:
+            master_seed, grid = obj["masterSeed"], obj["grid"]
+        except (KeyError, TypeError) as exc:
             raise DomainError(f"bad sweep config: {exc}") from exc
         if not isinstance(grid, list):
             raise DomainError("bad sweep config: 'grid' must be a list")
@@ -370,8 +358,8 @@ class SweepConfig:
                 structure = StructureSpec.from_json(entry["structure"])
                 event = EventSpec.from_json(entry["event"], structure)
                 ps = entry["p"]
-                ps = [float(p) for p in (ps if isinstance(ps, list) else [ps])]
-                trials = operator.index(entry["trials"])
+                ps = [_check_density(p) for p in (ps if isinstance(ps, list) else [ps])]
+                trials = entry["trials"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"bad sweep grid entry: {exc}") from exc
             points += [SweepPoint(structure, event, p, trials) for p in ps]
@@ -406,7 +394,7 @@ def run_sweep(config: SweepConfig, out_path: str | None = None) -> list[dict]:
             row = {
                 "family": spec.family, "n": spec.n, "d": spec.d,
                 "ell": spec.ell, "k": spec.k, "r": spec.r,
-                "event": point.event.label(), "p": repr(point.p),
+                "event": point.event.kind, "p": repr(point.p),
                 "trials": point.trials, "pHat": repr(est.p_hat),
                 "ciLow": repr(est.ci_low), "ciHigh": repr(est.ci_high),
                 "seed": seed,

@@ -217,7 +217,7 @@ def test_lambda_domain():
 
 def test_quadrature_depth_exhaustion():
     with pytest.raises(ConvergenceError):
-        lambda_constant(2, 2, QuadratureSettings(abs_tol=1e-12, max_depth=2))
+        lambda_constant(2, 2, QuadratureSettings(abs_tol=1e-300))
 
 
 def test_lambda_table_shape():

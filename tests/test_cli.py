@@ -270,7 +270,12 @@ def test_sweep_with_fractional_seed_or_trials_is_config_error(capsys, tmp_path, 
     (None, "grid", 5),
     (1, "p", 1.5),
     (1, "trials", 0),
-], ids=["p-not-a-number", "grid-not-a-list", "p-above-one", "no-trials"])
+    (1, "p", True),
+    (1, "p", "0.3"),
+    (1, "trials", True),
+    (None, "masterSeed", True),
+], ids=["p-not-a-number", "grid-not-a-list", "p-above-one", "no-trials",
+        "p-boolean", "p-numeric-string", "trials-boolean", "seed-boolean"])
 def test_bad_sweep_config_writes_no_csv(capsys, tmp_path, point, field, value):
     # A bad second point used to be refused only after the CSV header and the
     # first row were written.

@@ -19,13 +19,14 @@ from bootperc.dynamics import (
     is_semi_crossed,
     semi_percolates,
 )
-from bootperc.structures import grid_tables, threshold_table
+from bootperc.structures import grid_tables, threshold, threshold_table
 from bootperc.montecarlo import (
     BLOCK_VERTICES,
     SWEEP_COLUMNS,
     Estimate,
     EventSpec,
     SweepConfig,
+    SweepPoint,
     derive_seed,
     estimate_event_prob,
     estimate_lgap,
@@ -36,6 +37,8 @@ from bootperc.montecarlo import (
     trial_rng,
     wilson_interval,
 )
+from test_dynamics import crossed_oracle, naive_closure, semi_crossed_oracle
+from test_span import span_oracle
 
 
 def test_wilson_interval_known_values():
@@ -279,6 +282,53 @@ def test_estimate_event_prob_equals_per_trial_loop(event, p):
     est = estimate_event_prob(event, p, trials, seed)
     assert est == reference_estimate(event, p, trials, seed)
     assert 0.0 < est.p_hat < 1.0  # both outcomes occur, so the check has teeth
+
+
+def reference_event(event, cells):
+    """The event on one initial set, from the tests' own oracles alone: the
+    naive closure, the span from its definition and the crossing oracles."""
+    spec, rect = event.structure, event.rectangle
+    if event.kind == "percolates":
+        return len(naive_closure(spec, cells)) == spec.num_vertices
+    if event.kind == "semi_percolates":
+        closed = naive_closure(spec, cells)
+        return all(v in closed for v in CellSet.full(spec.shape) if threshold(spec, v) == spec.r)
+    if event.kind == "crossed":
+        return crossed_oracle(spec, rect, cells, event.direction or LEFT_TO_RIGHT)
+    if event.kind == "semi_crossed":
+        return semi_crossed_oracle(spec, rect, cells, event.axis or 1)
+    rects = span_oracle(spec, cells)
+    if event.kind == "spans":
+        return rect in rects
+    return max((r.long for r in rects), default=0) >= event.long_threshold
+
+
+@pytest.mark.parametrize("event,p", EVENT_CASES)
+def test_event_count_matches_definition_oracles(event, p):
+    # Rows at densities from p/2 to 2p, and R infected in every other row,
+    # so that both outcomes occur.  The count of the first i + 1 rows less
+    # that of the first i is row i's.
+    spec = event.structure
+    rng = np.random.default_rng([41, spec.n, spec.ell, round(1000 * p)])
+    rows = rng.random((32,) + spec.shape) < rng.uniform(p / 2, 2 * p, (32,) + (1,) * len(spec.shape))
+    if event.rectangle is not None:
+        rows[::2][(slice(None),) + event.rectangle.slices] = True
+    want = [int(reference_event(event, CellSet.from_mask(row))) for row in rows]
+    counts = [event.count(rows[:i]) for i in range(1, len(rows) + 1)]
+    assert np.diff(counts, prepend=0).tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("trials", [True, 2.5, 10.0, "10", 0])
+def test_trial_count_rule_is_one_rule(trials):
+    event = EventSpec("percolates", StructureSpec.plain(3, 2, 2))
+    for route in (lambda: wilson_interval(1, trials),
+                  lambda: estimate_event_prob(event, 0.3, trials, 1),
+                  lambda: estimate_lgap(1, 5, 0.3, trials, 1),
+                  lambda: SweepPoint(event.structure, event, 0.3, trials)):
+        with pytest.raises(DomainError, match="trials must be"):
+            route()
+    assert estimate_event_prob(event, 0.3, np.int64(4), 1).trials == 4
 
 
 CLOSURE_SPECS = [
