@@ -9,12 +9,13 @@ b = 1 - (1-u)^k and c = u (1-u)^k; ``g(k, z) = -log(beta(k, 1 - e^-z))``;
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import DomainError
+from .structures import DomainError, check_number
 
 
 class ConvergenceError(ArithmeticError):
@@ -94,6 +95,8 @@ def l_exact(ell: int, m: int, u: float) -> float:
     polynomial x^2 = b x + c is ``beta(ell + 1, u)``, so L_m decays like
     beta(ell + 1, u)^m.
     """
+    check_number(ell, "ell", numbers.Integral)
+    check_number(m, "m", numbers.Integral)
     if ell < 0:
         raise DomainError("ell must be >= 0")
     if m < -1:
@@ -140,6 +143,8 @@ def lambda_constant(d: int, r: int,
     for z >= 1) is below abs_tol / 2; the two adaptive panels get abs_tol / 4
     each, so the total absolute error is at most abs_tol.
     """
+    check_number(d, "d", numbers.Integral)
+    check_number(r, "r", numbers.Integral)
     if not 2 <= r <= d:
         raise DomainError("lambda(d, r) requires 2 <= r <= d")
     a_exp = d - r + 1
@@ -172,6 +177,7 @@ def lambda_constant(d: int, r: int,
 def lambda_table(d_max: int,
                  settings: QuadratureSettings = DEFAULT_SETTINGS) -> list[tuple[int, int, float]]:
     """All (d, r, lambda(d, r)) for 2 <= r <= d <= d_max."""
+    check_number(d_max, "d_max", numbers.Integral)
     if d_max < 2:
         raise DomainError("d_max must be >= 2")
     return [(d, r, lambda_constant(d, r, settings))

@@ -34,6 +34,8 @@ from .structures import (
     DomainError,
     Rectangle,
     StructureSpec,
+    check_rectangle,
+    check_shape,
     column_thresholds,
     grid_tables,
     label_rows,
@@ -193,39 +195,26 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     """Closure under the uniform t-neighbor rule, restricted to ``box``.
 
     ``box`` may live in any dimension; ``cells`` is a CellSet or an iterable
-    of absolute coordinates, of which only those inside the box are used.
+    of absolute coordinates, of which only those inside the box are used;
+    they become a CellSet of the grid up to ``box.hi``, so each must be a
+    coordinate of it.
     """
     if t < 1:
         raise DomainError("uniform threshold must be >= 1")
     if min(box.lo) < 1:
         raise DomainError("box coordinates must be >= 1")
+    if not isinstance(cells, CellSet):
+        cells = CellSet(box.hi, [c for c in cells if box.contains(c)])
     dims = box.dim
+    if len(cells.shape) != len(dims):
+        raise DomainError(f"cell set of shape {cells.shape} has wrong arity for the box")
     infected = np.zeros((1,) + dims, dtype=bool)
-    if isinstance(cells, CellSet):
-        if len(cells.shape) != len(dims):
-            raise DomainError(f"cell set of shape {cells.shape} has wrong arity for the box")
-        window = cells.mask[box.slices]
-        infected[(0,) + tuple(map(slice, window.shape))] = window
-    else:
-        for c in cells:
-            try:
-                c = tuple(operator.index(x) for x in c)
-            except TypeError as exc:
-                raise DomainError(f"coordinate {c!r} is not a sequence of integers") from exc
-            if len(c) != len(dims):
-                raise DomainError(f"coordinate {c} has wrong arity for the box")
-            if box.contains(c):
-                infected[(0,) + tuple(x - a for x, a in zip(c, box.lo))] = True
+    window = cells.mask[box.slices]
+    infected[(0,) + tuple(map(slice, window.shape))] = window
     _close(np.full(prod(dims), min(t, _NEVER), dtype=np.uint8), infected)
     out = CellSet(box.hi)
     out.mask[box.slices] = infected[0]
     return out
-
-
-def _check_rows(spec: StructureSpec, masks: np.ndarray) -> None:
-    """The rule for a block of initial sets: its rows belong to spec."""
-    if masks.shape[1:] != spec.shape:
-        raise DomainError("cell set does not belong to this structure")
 
 
 def closure_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
@@ -233,7 +222,7 @@ def closure_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
     ``(B, *spec.shape)`` and row i of the result is the closure of row i.
     ``masks`` is not changed.
     """
-    _check_rows(spec, masks)
+    check_shape(spec, masks.shape[1:])
     return _close(_spec_thresholds(spec), np.array(masks, dtype=bool, order="C"))
 
 
@@ -245,7 +234,8 @@ def closure(spec: StructureSpec, cells: CellSet) -> CellSet:
 def percolates_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
     """``percolates`` on every row of a block of initial sets of shape
     ``(B, *spec.shape)``, as a bool array of length B."""
-    return closure_batch(spec, masks).reshape(len(masks), -1).all(axis=1)
+    closed = closure_batch(spec, masks)
+    return closed.all(axis=tuple(range(1, closed.ndim)))
 
 
 def percolates(spec: StructureSpec, cells: CellSet) -> bool:
@@ -264,20 +254,12 @@ def semi_percolates_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
     ``(B, *spec.shape)``; the vertices of threshold r are the base layer."""
     check_semi_percolation(spec)
     base = closure_batch(spec, masks)[(...,) + (0,) * spec.ell]
-    return base.reshape(len(masks), -1).all(axis=1)
+    return base.all(axis=tuple(range(1, base.ndim)))
 
 
 def semi_percolates(spec: StructureSpec, cells: CellSet) -> bool:
     """True iff the closure contains every vertex of minimal threshold r."""
     return bool(semi_percolates_batch(spec, cells.mask[None])[0])
-
-
-def check_rectangle(spec: StructureSpec, rect: Rectangle) -> None:
-    """The rule for an event's rectangle R: arity d and 1 <= lo <= hi <= n."""
-    if len(rect.lo) != spec.d:
-        raise DomainError("rectangle arity does not match structure")
-    if not (all(a >= 1 for a in rect.lo) and all(b <= spec.n for b in rect.hi)):
-        raise DomainError("rectangle out of bounds")
 
 
 def check_crossing(spec: StructureSpec, rect: Rectangle, direction: CrossDirection) -> None:
@@ -322,7 +304,7 @@ def crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
     cell of a row's local grid, or its last when reversed, is a ghost cell,
     and no label spans two rows.
     """
-    _check_rows(spec, masks)
+    check_shape(spec, masks.shape[1:])
     check_crossing(spec, rect, direction)
     ax = direction.axis - 1
     ghost, exit_ = (-1, 0) if direction.reverse else (0, -1)
@@ -330,8 +312,10 @@ def crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
     pad[ax + 1] = (0, 1) if direction.reverse else (1, 0)
     infected = np.pad(masks[(slice(None),) + rect.slices], pad, constant_values=True)
     labels, _ = label_rows(_local_closure(spec, infected))
-    exits = labels[(slice(None),) * (ax + 1) + (exit_,)].reshape(len(masks), -1)
-    return (exits == labels.reshape(len(masks), -1)[:, [ghost]]).any(axis=1)
+    exits = labels[(slice(None),) * (ax + 1) + (exit_,)]
+    ghosts = labels[(slice(None),) + (ghost,) * (labels.ndim - 1)]
+    crossed = exits == ghosts.reshape(ghosts.shape + (1,) * (exits.ndim - 1))
+    return crossed.any(axis=tuple(range(1, crossed.ndim)))
 
 
 def is_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
@@ -351,7 +335,7 @@ def semi_crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
     base layers are R_t^- and R_t^+.  A fringe outside [n]^d stays outside
     the region (threshold ``_NEVER``), so it is never infected.
     """
-    _check_rows(spec, masks)
+    check_shape(spec, masks.shape[1:])
     ax = check_semi_crossing(spec, rect, axis) - 1
     # A on the local grid: indices that wrap at a face of [n]^d fall outside the region.
     around = rect.slices[:ax] + (slice(None),) + rect.slices[ax + 1:]
@@ -364,8 +348,8 @@ def semi_crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
     region[(slice(None),) * ax + (slice(1, -1),)] = True
     region[minus], region[plus] = rect.lo[ax] > 1, rect.hi[ax] < spec.n
     window[minus] = True
-    closed = _local_closure(spec, window & region, region)
-    return closed[inner].reshape(len(masks), -1).all(axis=1)
+    closed = _local_closure(spec, window & region, region)[inner]
+    return closed.all(axis=tuple(range(1, closed.ndim)))
 
 
 def is_semi_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
@@ -384,19 +368,15 @@ def has_double_gap(dims: Sequence[int], cells, axes: Iterable[int] | None = None
     empty slabs, where out-of-range slabs count as empty (so an empty face
     qualifies).
     """
-    dims = tuple(int(s) for s in dims)
-    if isinstance(cells, CellSet):
-        if cells.shape != dims:
-            raise DomainError("cell set does not match the box")
-        mask = cells.mask
-    else:
-        mask = CellSet(dims, cells).mask
-    axes = range(1, len(dims) + 1) if axes is None else axes
-    for axis in axes:
+    if not isinstance(cells, CellSet):
+        cells = CellSet(dims, cells)
+    check_shape(dims, cells.shape)
+    ndim = len(cells.shape)
+    for axis in range(1, ndim + 1) if axes is None else axes:
         ax = axis - 1
-        if not 0 <= ax < len(dims):
-            raise DomainError(f"axis {axis} out of range for box {dims}")
-        occ = mask.any(axis=tuple(i for i in range(len(dims)) if i != ax))
+        if not 0 <= ax < ndim:
+            raise DomainError(f"axis {axis} out of range for box {cells.shape}")
+        occ = cells.mask.any(axis=tuple(i for i in range(ndim) if i != ax))
         padded = np.concatenate(([False], occ, [False]))
         if bool((~padded[:-1] & ~padded[1:]).any()):
             return True

@@ -21,12 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import CellSet, DomainError, Rectangle, StructureSpec
+from .structures import (
+    CellSet,
+    DomainError,
+    Rectangle,
+    StructureSpec,
+    check_number,
+    check_rectangle,
+)
 from .dynamics import (
     LEFT_TO_RIGHT,
     CrossDirection,
     check_crossing,
-    check_rectangle,
     check_semi_crossing,
     check_semi_percolation,
     crossed_batch,
@@ -73,9 +79,9 @@ class EventSpec:
         if self.kind == LONG_SPAN and self.long_threshold is None:
             raise DomainError("long_span requires a length threshold")
         if self.long_threshold is not None:
-            _check_number(self.long_threshold, "length threshold")
-        # The event rules live in dynamics; applied here, a bad event is
-        # refused when it is built, before any trial.
+            check_number(self.long_threshold, "length threshold")
+        # The event rules live in dynamics and structures; applied here, a
+        # bad event is refused when it is built, before any trial.
         if self.kind == SEMI_PERCOLATES:
             check_semi_percolation(spec)
         if self.kind == CROSSED:
@@ -163,23 +169,16 @@ def _estimate(successes: int, trials: int, master_seed: int) -> Estimate:
     return Estimate(successes / trials, trials, *wilson_interval(successes, trials), master_seed)
 
 
-def _check_number(value, name: str, kind=numbers.Real) -> None:
-    """The number rule: a ``kind`` that is not a bool, so JSON's true and "1" are refused."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a number"
-        raise DomainError(f"{name} must be {noun}, not {value!r}")
-
-
 def _check_trials(trials: int) -> None:
     """The rule for a trial count: an integer >= 1."""
-    _check_number(trials, "trials", numbers.Integral)
+    check_number(trials, "trials", numbers.Integral)
     if trials < 1:
         raise DomainError("trials must be >= 1")
 
 
 def _check_density(p: float, name: str = "p") -> float:
     """The rule for a density: a number in [0, 1].  Returns it as a float."""
-    _check_number(p, name)
+    check_number(p, name)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"{name} = {p} outside [0, 1]")
     return float(p)
@@ -194,15 +193,20 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _seed_word(master_seed: int) -> int:
+    """The 64-bit word of a master seed: its value modulo 2**64, so -1 is 2**64 - 1."""
+    return int(master_seed) & (2 ** 64 - 1)
+
+
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Counter-style stream for one trial: Philox keyed on (seed, trial)."""
-    key = (int(master_seed) & (2 ** 64 - 1)) * 2 ** 64 + int(trial)
+    key = _seed_word(master_seed) * 2 ** 64 + int(trial)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """A stable 64-bit subseed for the index-th child task."""
-    ss = np.random.SeedSequence([int(master_seed) & (2 ** 64 - 1), int(index)])
+    ss = np.random.SeedSequence([_seed_word(master_seed), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -232,7 +236,7 @@ def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
     bits = np.random.Philox(key=0)
     # Trial t's stream: key words (t, seed), counter 0, nothing buffered.
     # Plain lists make the state setter several times cheaper than arrays.
-    key = [0, int(master_seed) & (2 ** 64 - 1)]
+    key = [0, _seed_word(master_seed)]
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     cut = p * 2.0 ** 53
@@ -300,13 +304,15 @@ def estimate_lgap(ell: int, m: int, u: float, trials: int, master_seed: int) -> 
     one stream in chunks of 1 << 14 trials, so its result for a given seed
     depends on that internal chunk size.
     """
+    check_number(ell, "ell", numbers.Integral)
+    check_number(m, "m", numbers.Integral)
     if ell < 0 or m < 0:
         raise DomainError("ell and m must be >= 0")
     _check_density(u, "u")
     _check_trials(trials)
     if m == 0:
         return _estimate(trials, trials, master_seed)
-    rng = np.random.Generator(np.random.Philox(key=int(master_seed) & (2 ** 64 - 1)))
+    rng = np.random.Generator(np.random.Philox(key=_seed_word(master_seed)))
     successes = 0
     chunk = 1 << 14
     for done in range(0, trials, chunk):
@@ -342,7 +348,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.points:
             raise DomainError("sweep grid must be nonempty")
-        _check_number(self.master_seed, "masterSeed", numbers.Integral)
+        check_number(self.master_seed, "masterSeed", numbers.Integral)
 
     @staticmethod
     def from_json(obj: dict) -> "SweepConfig":

@@ -12,6 +12,7 @@ from .structures import (
     DomainError,
     Rectangle,
     StructureSpec,
+    check_shape,
     grid_tables,
     label_boxes,
     label_rows,
@@ -44,8 +45,7 @@ def span_boxes_batch(spec: StructureSpec, masks: np.ndarray) -> list[tuple[slice
     order, and within a row in order of each component's least member.
     """
     closed = closure_batch(spec, masks)
-    proj = closed.any(axis=tuple(range(spec.d + 1, closed.ndim))) if spec.ell else closed
-    labels, _ = label_rows(proj)
+    labels, _ = label_rows(closed.any(axis=tuple(range(spec.d + 1, closed.ndim))))
     return label_boxes(labels)
 
 
@@ -93,6 +93,7 @@ def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
 
     ``exhaustive=True`` disables the interaction-proximity pruning in (b).
     """
+    check_shape(spec, cells.shape)
     # Singletons in canonical (flat) order.
     flat_ids = np.arange(cells.mask.size).reshape(cells.shape)
     pieces = [_Piece(spec, flat_ids == v) for v in np.flatnonzero(cells.mask)]
@@ -140,6 +141,7 @@ def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
 
 def internally_spans(spec: StructureSpec, rect: Rectangle, cells: CellSet) -> bool:
     """True iff A's cells inside R alone span R, i.e. R is in <A cap R>."""
+    check_shape(spec, cells.shape)
     inside = cells.mask & rect.cells(spec).mask
     return rect in map(_rectangle, span_boxes_batch(spec, inside[None]))
 
@@ -175,8 +177,7 @@ def find_spanned_component(spec: StructureSpec, cells: CellSet, length: int) -> 
     """
     if length < 1:
         raise DomainError("target length must be >= 1")
-    if cells.shape != spec.shape:
-        raise DomainError("cell set does not belong to this structure")
+    check_shape(spec, cells.shape)
 
     nbrs, size = grid_tables(spec.shape)
     thresholds = threshold_table(spec)

@@ -1,5 +1,9 @@
 """Lattice bootstrap structures: coordinates, thresholds, adjacency, geometry, labelling.
 
+Each rule on inputs is written once here: ``check_number`` for numbers,
+``check_coord`` for coordinates, ``check_shape`` for a cell set's membership
+in a grid and ``check_rectangle`` for a rectangle of a structure.
+
 The lattice is [n]^d x [k]^ell with 1-based coordinates.  The first d axes
 are "horizontal", the trailing ell axes are "thickness".  Three families are
 supported:
@@ -14,6 +18,7 @@ supported:
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,6 +42,36 @@ MAX_VERTICES = 1 << 22
 
 class DomainError(ValueError):
     """Invalid argument: out-of-bounds coordinate, bad parameter, etc."""
+
+
+def check_number(value, name: str, kind=numbers.Real) -> None:
+    """The number rule: a ``kind`` that is not a bool, so JSON's true and "1" are refused."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise DomainError(f"{name} must be {noun}, not {value!r}")
+
+
+def check_coord(shape: tuple[int, ...], v: Sequence[int]) -> Coord:
+    """The coordinate rule: ``v`` is a sequence of integers, one for each
+    axis of the grid ``shape``, each in 1..its side.  Returns it as a tuple."""
+    try:
+        v = tuple(map(operator.index, v))
+    except TypeError as exc:
+        raise DomainError(f"coordinate {v!r} is not a sequence of integers") from exc
+    if len(v) != len(shape):
+        raise DomainError(f"coordinate {v} has wrong arity for the grid {shape}")
+    for x, side in zip(v, shape):
+        if not 1 <= x <= side:
+            raise DomainError(f"coordinate {v} out of bounds for the grid {shape}")
+    return v
+
+
+def check_shape(grid, shape: tuple[int, ...]) -> None:
+    """The membership rule: a cell set of ``shape``, or each row of a block
+    of them, belongs to ``grid``, a StructureSpec or a grid shape."""
+    want = grid.shape if isinstance(grid, StructureSpec) else tuple(grid)
+    if shape != want:
+        raise DomainError(f"cell set of shape {shape} does not belong to the grid of shape {want}")
 
 
 @dataclass(frozen=True)
@@ -96,16 +131,7 @@ class StructureSpec:
         return prod(self.shape)
 
     def validate_coord(self, v: Sequence[int]) -> Coord:
-        try:
-            v = tuple(operator.index(x) for x in v)
-        except TypeError as exc:
-            raise DomainError(f"coordinate {v!r} is not a sequence of integers") from exc
-        if len(v) != self.d + self.ell:
-            raise DomainError(f"coordinate {v} has wrong arity for {self}")
-        for x, bound in zip(v, self.shape):
-            if not 1 <= x <= bound:
-                raise DomainError(f"coordinate {v} out of bounds for {self}")
-        return v
+        return check_coord(self.shape, v)
 
     def to_json(self) -> dict:
         return {
@@ -159,16 +185,7 @@ class CellSet:
         return cls.from_mask(np.ones(tuple(shape), dtype=bool))
 
     def _index(self, coord: Sequence[int]) -> tuple[int, ...]:
-        try:
-            coord = tuple(operator.index(x) for x in coord)
-        except TypeError as exc:
-            raise DomainError(f"coordinate {coord!r} is not a sequence of integers") from exc
-        if len(coord) != len(self.shape):
-            raise DomainError(f"coordinate {coord} has wrong arity")
-        for x, bound in zip(coord, self.shape):
-            if not 1 <= x <= bound:
-                raise DomainError(f"coordinate {coord} out of bounds")
-        return tuple(x - 1 for x in coord)
+        return tuple(x - 1 for x in check_coord(self.shape, coord))
 
     def add(self, coord: Sequence[int]) -> None:
         self.mask[self._index(coord)] = True
@@ -259,8 +276,7 @@ class Rectangle:
 
     def cells(self, spec: StructureSpec) -> CellSet:
         """The rectangle as a vertex set of spec, full thickness."""
-        if len(self.lo) != spec.d:
-            raise DomainError("rectangle arity does not match structure")
+        check_rectangle(spec, self)
         mask = np.zeros(spec.shape, dtype=bool)
         mask[self.slices] = True
         return CellSet.from_mask(mask)
@@ -273,6 +289,15 @@ class Rectangle:
         if len(obj) != 2:
             raise DomainError("rectangle JSON must be [lo, hi]")
         return Rectangle(tuple(obj[0]), tuple(obj[1]))
+
+
+def check_rectangle(spec: StructureSpec, rect: Rectangle) -> None:
+    """The rule for a rectangle R of spec: its corners lo and hi are cells of [n]^d."""
+    try:
+        for corner in (rect.lo, rect.hi):
+            check_coord(spec.shape[:spec.d], corner)
+    except DomainError as exc:
+        raise DomainError(f"rectangle {rect.to_json()}: {exc}") from None
 
 
 def bounding_rectangle(cells: Iterable[Sequence[int]]) -> Rectangle:
@@ -302,27 +327,15 @@ def neighbors(spec: StructureSpec, v: Sequence[int]) -> list[Coord]:
     return out
 
 
-def _resolve_shape(spec_or_shape) -> tuple[int, ...]:
-    if isinstance(spec_or_shape, StructureSpec):
-        return spec_or_shape.shape
-    return tuple(int(s) for s in spec_or_shape)
-
-
 def projection(spec: StructureSpec, cells: CellSet) -> CellSet:
     """Horizontal shadow: distinct d-prefixes of the members of cells."""
-    if cells.shape != spec.shape:
-        raise DomainError("cell set does not belong to this structure")
-    if spec.ell == 0:
-        return cells.copy()
-    mask = cells.mask.any(axis=tuple(range(spec.d, spec.d + spec.ell)))
-    return CellSet.from_mask(mask)
+    check_shape(spec, cells.shape)
+    return CellSet.from_mask(cells.mask.any(axis=tuple(range(spec.d, spec.d + spec.ell))))
 
 
 def components(spec_or_shape, cells: CellSet) -> list[CellSet]:
     """Nearest-neighbor connected components, ordered by least member."""
-    shape = _resolve_shape(spec_or_shape)
-    if cells.shape != shape:
-        raise DomainError("cell set does not match the ambient grid")
+    check_shape(spec_or_shape, cells.shape)
     labels, count = label_rows(cells.mask[None])
     return [CellSet.from_mask(labels[0] == lab) for lab in range(1, count + 1)]
 
@@ -333,9 +346,7 @@ def diameter(spec_or_shape, cells: CellSet) -> int:
     For a connected set this equals the maximum pairwise L-infinity
     distance plus one.
     """
-    shape = _resolve_shape(spec_or_shape)
-    if cells.shape != shape:
-        raise DomainError("cell set does not match the ambient grid")
+    check_shape(spec_or_shape, cells.shape)
     labels, _ = label_rows(cells.mask[None])
     return max((max(s.stop - s.start for s in box[1:]) for box in label_boxes(labels)),
                default=0)
@@ -357,11 +368,11 @@ def label_rows(block: np.ndarray) -> tuple[np.ndarray, int]:
 def label_boxes(labels: np.ndarray) -> list[tuple[slice, ...]]:
     """The 0-based bounding box of each label of ``labels``, in label order,
     as ``ndimage.find_objects`` gives it.  A bool mask viewed as int8 is
-    one label, whose box is the mask's.
+    one label, whose box is the mask's.  An empty array has no labels.
     """
     from scipy import ndimage
 
-    return ndimage.find_objects(labels)
+    return ndimage.find_objects(labels) if labels.size else []
 
 
 @lru_cache(maxsize=64)

@@ -16,6 +16,7 @@ from bootperc.analytic import (
     lambda_table,
     q_of_p,
 )
+from bootperc.montecarlo import estimate_lgap
 from bootperc.structures import DomainError
 
 
@@ -213,6 +214,26 @@ def test_lambda_domain():
         lambda_constant(2, 3)
     with pytest.raises(DomainError):
         QuadratureSettings(abs_tol=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lambda_constant(3.5, 2),
+    lambda: lambda_constant(3, 2.0),
+    lambda: lambda_constant(True, 2),
+    lambda: lambda_table(3.0),
+    lambda: lambda_table("3"),
+    lambda: l_exact(1.5, 2, 0.5),
+    lambda: l_exact(1, True, 0.5),
+    lambda: l_exact(1, 2.0, 0.5),
+    lambda: estimate_lgap(1, 2.5, 0.5, 10, 1),
+    lambda: estimate_lgap(False, 2, 0.5, 10, 1),
+    lambda: estimate_lgap("1", 2, 0.5, 10, 1),
+], ids=["lambda-d-float", "lambda-r-float", "lambda-d-bool", "table-float", "table-string",
+        "l_exact-ell-float", "l_exact-m-bool", "l_exact-m-float", "lgap-m-float",
+        "lgap-ell-bool", "lgap-ell-string"])
+def test_integer_parameters_refuse_other_numbers(call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
 
 
 def test_quadrature_depth_exhaustion():

@@ -69,6 +69,12 @@ def test_derive_seed_stable():
     assert derive_seed(7, 0) != derive_seed(7, 1)
 
 
+@pytest.mark.parametrize("seed,same", [(7, 7 + 2 ** 64), (-1, 2 ** 64 - 1)])
+def test_seeds_are_taken_modulo_2_to_the_64(seed, same):
+    assert derive_seed(seed, 3) == derive_seed(same, 3)
+    assert estimate_lgap(2, 6, 0.3, 500, seed).p_hat == estimate_lgap(2, 6, 0.3, 500, same).p_hat
+
+
 def test_sample_bin_reproducible():
     spec = StructureSpec.plain(5, 2, 2)
     a = sample_bin(spec, 0.4, trial_rng(1, 5))
@@ -307,15 +313,15 @@ def reference_event(event, cells):
 def test_event_count_matches_definition_oracles(event, p):
     # Rows at densities from p/2 to 2p, and R infected in every other row,
     # so that both outcomes occur.  The count of the first i + 1 rows less
-    # that of the first i is row i's.
+    # that of the first i is row i's, and an empty block counts 0.
     spec = event.structure
     rng = np.random.default_rng([41, spec.n, spec.ell, round(1000 * p)])
     rows = rng.random((32,) + spec.shape) < rng.uniform(p / 2, 2 * p, (32,) + (1,) * len(spec.shape))
     if event.rectangle is not None:
         rows[::2][(slice(None),) + event.rectangle.slices] = True
     want = [int(reference_event(event, CellSet.from_mask(row))) for row in rows]
-    counts = [event.count(rows[:i]) for i in range(1, len(rows) + 1)]
-    assert np.diff(counts, prepend=0).tolist() == want
+    counts = [event.count(rows[:i]) for i in range(len(rows) + 1)]
+    assert np.diff(counts, prepend=0).tolist() == [0] + want
     assert 0 < sum(want) < len(want)
 
 

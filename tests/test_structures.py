@@ -2,6 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bootperc.dynamics import (
+    closure,
+    has_double_gap,
+    is_crossed,
+    is_semi_crossed,
+    percolates,
+    semi_percolates,
+)
+from bootperc.montecarlo import EventSpec
+from bootperc.span import (
+    find_spanned_component,
+    find_spanned_rectangle,
+    internally_spans,
+    span_direct,
+    span_main_algorithm,
+)
 from bootperc.structures import (
     MAX_VERTICES,
     CellSet,
@@ -221,3 +237,48 @@ def test_cellset_iteration_sorted(coords):
     out = list(cs)
     assert out == sorted(set(out))
     assert len(out) == len(cs)
+
+
+# --- one membership rule for every function that takes a cell set -------------
+
+# A star and a slab of one shape, (4, 4, 2), so that every route refuses a
+# cell set of another shape with one message.
+MEMBER_STAR = StructureSpec.star(4, 2, 1, 2)
+MEMBER_SLAB = StructureSpec.slab(4, 2, 1, 2, 2)
+SQUARE = Rectangle((1, 1), (4, 4))
+
+
+def member_routes(cells):
+    """Every public function that takes a cell set, called on ``cells`` with
+    a grid of shape (4, 4, 2)."""
+    spec = MEMBER_STAR
+    return {
+        "closure": lambda: closure(spec, cells),
+        "percolates": lambda: percolates(spec, cells),
+        "semi_percolates": lambda: semi_percolates(spec, cells),
+        "is_crossed": lambda: is_crossed(MEMBER_SLAB, SQUARE, cells),
+        "is_semi_crossed": lambda: is_semi_crossed(spec, SQUARE, cells),
+        "span_direct": lambda: span_direct(spec, cells),
+        "internally_spans": lambda: internally_spans(spec, SQUARE, cells),
+        "span_main_algorithm": lambda: span_main_algorithm(spec, cells),
+        "find_spanned_rectangle": lambda: find_spanned_rectangle(spec, cells, 1),
+        "find_spanned_component": lambda: find_spanned_component(spec, cells, 1),
+        "projection": lambda: projection(spec, cells),
+        "components": lambda: components(spec, cells),
+        "diameter": lambda: diameter(spec.shape, cells),
+        "has_double_gap": lambda: has_double_gap(spec.shape, cells),
+        "EventSpec.evaluate": lambda: EventSpec("percolates", spec).evaluate(cells),
+    }
+
+
+@pytest.mark.parametrize("shape", [(5, 5, 2), (1, 4, 2), (4, 4)])
+def test_cell_set_of_another_grid_is_refused_alike_everywhere(shape):
+    # A (1, 4, 2) set used to broadcast in internally_spans and a (5, 5, 2)
+    # one to give an empty span from span_main_algorithm.
+    messages = {}
+    for name, call in member_routes(CellSet(shape)).items():
+        with pytest.raises(DomainError) as info:
+            call()
+        messages[name] = str(info.value)
+    assert set(messages.values()) == {
+        f"cell set of shape {shape} does not belong to the grid of shape (4, 4, 2)"}
