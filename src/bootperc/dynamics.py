@@ -19,6 +19,7 @@ Each event's input rule is one function here, which ``EventSpec`` calls too.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,6 +35,8 @@ from .structures import (
     DomainError,
     Rectangle,
     StructureSpec,
+    check_arity,
+    check_number,
     check_rectangle,
     check_shape,
     column_thresholds,
@@ -195,16 +198,18 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     """Closure under the uniform t-neighbor rule, restricted to ``box``.
 
     ``box`` may live in any dimension; ``cells`` is a CellSet or an iterable
-    of absolute coordinates, of which only those inside the box are used;
-    they become a CellSet of the grid up to ``box.hi``, so each must be a
-    coordinate of it.
+    of absolute coordinates.  Each coordinate must be a sequence of integers
+    of the box's arity; those outside the box are ignored, and the rest
+    become a CellSet of the grid up to ``box.hi``.
     """
+    check_number(t, "t", numbers.Integral)
     if t < 1:
         raise DomainError("uniform threshold must be >= 1")
     if min(box.lo) < 1:
         raise DomainError("box coordinates must be >= 1")
     if not isinstance(cells, CellSet):
-        cells = CellSet(box.hi, [c for c in cells if box.contains(c)])
+        arity = len(box.hi)
+        cells = CellSet(box.hi, [c for c in cells if box.contains(check_arity(c, arity))])
     dims = box.dim
     if len(cells.shape) != len(dims):
         raise DomainError(f"cell set of shape {cells.shape} has wrong arity for the box")

@@ -7,9 +7,12 @@ execution order.  ``trial_rng`` and ``sample_bin`` give one trial's stream
 and initial set.  The estimators draw the same sets in blocks of trials
 (``sample_blocks``): one Philox bit generator is re-keyed to
 (master seed, t) for each trial t instead of building a generator per
-trial, and a block of at most ``BLOCK_VERTICES`` vertices is evaluated at
-once by ``EventSpec.count``, the one dispatch over event kinds;
-``EventSpec.evaluate`` is its form for one initial set.
+trial, and a block is evaluated at once by ``EventSpec.count``, the one
+dispatch over event kinds; ``EventSpec.evaluate`` is its form for one
+initial set.  Every estimator turns raw Philox words into indicators by one
+uniform rule (``_hits``) and draws blocks of at most ``BLOCK_VERTICES``
+words; ``estimate_lgap`` reads trial t at its fixed position in one stream,
+so no estimate depends on the block size.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .structures import (
     StructureSpec,
     check_number,
     check_rectangle,
+    check_sides,
 )
 from .dynamics import (
     LEFT_TO_RIGHT,
@@ -53,9 +57,9 @@ LONG_SPAN = "long_span"
 
 _KINDS = (PERCOLATES, SEMI_PERCOLATES, SPANS, CROSSED, SEMI_CROSSED, LONG_SPAN)
 
-# Vertices in one block of trials: B * |V| <= BLOCK_VERTICES with B >= 1.
-# A block's raw words (8 bytes a vertex), masks and closure arrays then take
-# about 1 MiB, unless a single trial is larger than the block.
+# Raw words in one block of B >= 1 trials of W words each (W = |V| for an
+# initial set): B * W <= BLOCK_VERTICES.  A block's words (8 bytes each),
+# masks and closure arrays then take about 1 MiB, unless one trial is larger.
 BLOCK_VERTICES = 1 << 16
 
 
@@ -215,10 +219,15 @@ def sample_bin(region, p: float, rng: np.random.Generator) -> CellSet:
     one uniform per vertex in canonical order.
     """
     _check_density(p)
-    shape = region.shape if isinstance(region, (StructureSpec, CellSet)) \
-        else tuple(int(s) for s in region)
-    u = rng.random(int(np.prod(shape)))
-    return CellSet.from_mask((u < p).reshape(shape))
+    shape = region.shape if isinstance(region, (StructureSpec, CellSet)) else check_sides(region)
+    return CellSet.from_mask(rng.random(shape) < p)
+
+
+def _hits(words: np.ndarray, p: float) -> np.ndarray:
+    """The uniform rule: raw Philox word w is a hit of probability p when the
+    uniform (w >> 11) * 2**-53 of ``Generator.random`` is below p, that is
+    when (w >> 11) < ceil(p * 2**53) as uint64.  ``words`` is shifted in place."""
+    return np.right_shift(words, 11, out=words) < np.uint64(math.ceil(p * 2.0 ** 53))
 
 
 def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
@@ -227,8 +236,7 @@ def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
 
     Row t is ``sample_bin(spec, p, trial_rng(master_seed, t)).mask``: one
     Philox bit generator is re-keyed to (master_seed, t) with a zero
-    counter for each trial, and a raw word w gives the uniform
-    (w >> 11) * 2**-53, exactly as ``Generator.random`` does.
+    counter for each trial, and its raw words go through ``_hits``.
     """
     _check_density(p)
     size = spec.num_vertices
@@ -239,15 +247,13 @@ def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
     key = [0, _seed_word(master_seed)]
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    cut = p * 2.0 ** 53
     for start in range(0, trials, step):
         words = np.empty((min(step, trials - start), size), dtype=np.uint64)
         for i in range(len(words)):
             key[0] = start + i
             bits.state = state
             words[i] = bits.random_raw(size)
-        words >>= 11
-        yield (words < cut).reshape((len(words),) + spec.shape)
+        yield _hits(words, p).reshape((len(words),) + spec.shape)
 
 
 def estimate_event_prob(event: EventSpec, p: float, trials: int,
@@ -300,9 +306,9 @@ def estimate_lgap(ell: int, m: int, u: float, trials: int, master_seed: int) -> 
     """Directly simulate the no-L-gap event on m+1 primary and ell*m
     secondary independent indicators of probability u.
 
-    Unlike the per-trial keyed streams of the other estimators, this draws
-    one stream in chunks of 1 << 14 trials, so its result for a given seed
-    depends on that internal chunk size.
+    Trial t reads words [t*W, (t+1)*W), W = (m+1) + ell*m, of the raw stream
+    of ``Philox(key=master_seed)`` through ``_hits``: m+1 primary indicators,
+    then ell rows of m secondary ones, so it is fixed by its stream position.
     """
     check_number(ell, "ell", numbers.Integral)
     check_number(m, "m", numbers.Integral)
@@ -310,20 +316,16 @@ def estimate_lgap(ell: int, m: int, u: float, trials: int, master_seed: int) -> 
         raise DomainError("ell and m must be >= 0")
     _check_density(u, "u")
     _check_trials(trials)
-    if m == 0:
-        return _estimate(trials, trials, master_seed)
-    rng = np.random.Generator(np.random.Philox(key=_seed_word(master_seed)))
-    successes = 0
-    chunk = 1 << 14
-    for done in range(0, trials, chunk):
-        b = min(chunk, trials - done)
-        primary = rng.random((b, m + 1)) < u
-        gap = ~primary[:, :m] & ~primary[:, 1:]
-        if ell:
-            secondary = rng.random((b, ell, m)) < u
-            gap &= ~secondary.any(axis=1)
-        successes += int((~gap.any(axis=1)).sum())
-    return _estimate(successes, trials, master_seed)
+    width = (m + 1) + ell * m
+    step = max(1, BLOCK_VERTICES // width)
+    bits = np.random.Philox(key=_seed_word(master_seed))
+    gaps = 0
+    for start in range(0, trials, step):
+        b = min(step, trials - start)
+        empty = ~_hits(bits.random_raw((b, width)), u)
+        gap = empty[:, :m] & empty[:, 1:m + 1] & empty[:, m + 1:].reshape(b, ell, m).all(axis=1)
+        gaps += int(gap.any(axis=1).sum())
+    return _estimate(trials - gaps, trials, master_seed)
 
 
 @dataclass(frozen=True)

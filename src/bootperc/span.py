@@ -16,7 +16,6 @@ from .structures import (
     grid_tables,
     label_boxes,
     label_rows,
-    projection,
     threshold_table,
 )
 from .dynamics import closure, closure_batch
@@ -73,9 +72,8 @@ class _Piece:
 
     def __init__(self, spec: StructureSpec, cells: np.ndarray):
         self.cells = cells
-        closed = closure(spec, CellSet.from_mask(cells))
-        self.closed = closed.mask
-        self.proj = projection(spec, closed).mask
+        self.closed = closure_batch(spec, cells[None])[0]
+        self.proj = self.closed.any(axis=tuple(range(spec.d, self.closed.ndim)))
         self.near = _dilate(self.proj)
         self.reach = _dilate(self.closed)
         self.rect = _rectangle(label_boxes(self.proj[None].view(np.int8))[0])

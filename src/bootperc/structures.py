@@ -1,8 +1,9 @@
 """Lattice bootstrap structures: coordinates, thresholds, adjacency, geometry, labelling.
 
 Each rule on inputs is written once here: ``check_number`` for numbers,
-``check_coord`` for coordinates, ``check_shape`` for a cell set's membership
-in a grid and ``check_rectangle`` for a rectangle of a structure.
+``check_sides`` for a grid shape, ``check_coord`` for coordinates (with
+``check_arity`` its part short of bounds), ``check_shape`` for a cell set's
+membership in a grid and ``check_rectangle`` for a rectangle of a structure.
 
 The lattice is [n]^d x [k]^ell with 1-based coordinates.  The first d axes
 are "horizontal", the trailing ell axes are "thickness".  Three families are
@@ -51,15 +52,37 @@ def check_number(value, name: str, kind=numbers.Real) -> None:
         raise DomainError(f"{name} must be {noun}, not {value!r}")
 
 
-def check_coord(shape: tuple[int, ...], v: Sequence[int]) -> Coord:
-    """The coordinate rule: ``v`` is a sequence of integers, one for each
-    axis of the grid ``shape``, each in 1..its side.  Returns it as a tuple."""
+def check_sides(sides: Sequence[int]) -> tuple[int, ...]:
+    """The rule for a grid shape: a sequence of integer sides, each >= 0.
+    Returns it as a tuple."""
+    try:
+        sides = tuple(sides)
+    except TypeError as exc:
+        raise DomainError(f"grid shape {sides!r} is not a sequence of sides") from exc
+    for side in sides:
+        check_number(side, "grid side", numbers.Integral)
+        if side < 0:
+            raise DomainError(f"grid side {side} is negative")
+    return tuple(map(int, sides))
+
+
+def check_arity(v: Sequence[int], arity: int) -> Coord:
+    """The coordinate rule short of bounds: ``v`` is a sequence of ``arity``
+    integers.  Returns it as a tuple."""
     try:
         v = tuple(map(operator.index, v))
     except TypeError as exc:
         raise DomainError(f"coordinate {v!r} is not a sequence of integers") from exc
-    if len(v) != len(shape):
-        raise DomainError(f"coordinate {v} has wrong arity for the grid {shape}")
+    if len(v) != arity:
+        raise DomainError(f"coordinate {v} has wrong arity for a grid of {arity} axes")
+    return v
+
+
+def check_coord(shape: tuple[int, ...], v: Sequence[int]) -> Coord:
+    """The coordinate rule: ``v`` is a sequence of integers, one for each
+    axis of the grid ``shape`` (``check_arity``), each in 1..its side.
+    Returns it as a tuple."""
+    v = check_arity(v, len(shape))
     for x, side in zip(v, shape):
         if not 1 <= x <= side:
             raise DomainError(f"coordinate {v} out of bounds for the grid {shape}")
@@ -168,7 +191,7 @@ class CellSet:
     __slots__ = ("shape", "mask")
 
     def __init__(self, shape: Sequence[int], cells: Iterable[Sequence[int]] = ()):
-        self.shape = tuple(int(s) for s in shape)
+        self.shape = check_sides(shape)
         self.mask = np.zeros(self.shape, dtype=bool)
         for c in cells:
             self.add(c)
@@ -182,7 +205,7 @@ class CellSet:
 
     @classmethod
     def full(cls, shape: Sequence[int]) -> "CellSet":
-        return cls.from_mask(np.ones(tuple(shape), dtype=bool))
+        return cls.from_mask(np.ones(check_sides(shape), dtype=bool))
 
     def _index(self, coord: Sequence[int]) -> tuple[int, ...]:
         return tuple(x - 1 for x in check_coord(self.shape, coord))

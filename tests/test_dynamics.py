@@ -113,6 +113,8 @@ def test_closure_uniform_against_plain():
     cells = CellSet(spec.shape, [(2, 2), (3, 3), (4, 4), (1, 1)])
     out = closure_uniform(sub, cells, 2)
     assert (2, 2) in out and (4, 4) in out and (1, 1) not in out
+    # Well-formed cells outside the box, even outside [n]^d, are ignored.
+    assert closure_uniform(sub, [(9, 9), (0, 3), *cells], 2) == out
     with pytest.raises(DomainError):
         closure_uniform(box, cells, 0)
     with pytest.raises(DomainError):
@@ -127,6 +129,22 @@ def test_closure_uniform_refuses_non_integer_cells():
     with pytest.raises(DomainError):
         closure_uniform(box, CellSet((5, 5, 2)), 2)
     assert closure_uniform(box, [(np.int64(1), 2)], 1) == CellSet.full((5, 5))
+
+
+@pytest.mark.parametrize("cells,t", [
+    ([(9, 9, 9)], 2),  # wrong arity, outside the box: used to be ignored
+    ([(1,)], 2),
+    ([("a", 1)], 2),  # used to raise a bare TypeError
+    ([(1, None)], 2),
+    ([(2.0, 2)], 2),
+    ([(1, 1)], 1.5),  # t used to be truncated: 1.5 closed like 1
+    ([(1, 1)], 2.7),
+    ([(1, 1)], True),
+    ([(1, 1)], "2"),
+])
+def test_closure_uniform_checks_every_cell_and_t(cells, t):
+    with pytest.raises(DomainError):
+        closure_uniform(Rectangle((1, 1), (5, 5)), cells, t)
 
 
 def test_semi_percolation_star():

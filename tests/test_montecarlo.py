@@ -220,7 +220,7 @@ def reference_estimate(event, p, trials, seed):
                     *wilson_interval(successes, trials), seed)
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, 0.3])
+@pytest.mark.parametrize("p", [0.0, 1.0, 0.3, 1 - 2 ** -53, 2 ** -60])
 @pytest.mark.parametrize("seed", [0, -5, 2 ** 64 + 17, 2 ** 70 - 1])
 def test_sample_blocks_rows_equal_sample_bin(p, seed):
     spec = StructureSpec.plain(100, 2, 2)  # 10 000 vertices: blocks of 6
@@ -232,6 +232,58 @@ def test_sample_blocks_rows_equal_sample_bin(p, seed):
     assert rows.shape == (trials,) + spec.shape and rows.dtype == bool
     for t in range(trials):
         assert np.array_equal(rows[t], sample_bin(spec, p, trial_rng(seed, t)).mask)
+
+
+def test_sample_blocks_cut_is_exact_at_a_drawn_uniform():
+    # p at a drawn uniform u, and one ulp above it: u's vertex is out, then in.
+    spec = StructureSpec.plain(4, 2, 2)
+    uniforms = trial_rng(9, 0).random(spec.num_vertices)
+    u = uniforms[uniforms < 0.5][0]
+    for p in (u, np.nextafter(u, 1.0)):
+        row = next(sample_blocks(spec, float(p), 9, 1))[0]
+        assert np.array_equal(row.ravel(), uniforms < p)
+        assert row.ravel()[uniforms == u].item() == (p > u)
+
+
+def test_sample_bin_is_its_definition_on_any_generator():
+    # sample_bin draws Generator.random, not raw words: the raw words of an
+    # MT19937 stream are 32 bits wide, so the raw-word rule gives another set.
+    seed, shape, p = 5, (7, 9), 0.4
+    got = sample_bin(shape, p, np.random.Generator(np.random.MT19937(seed))).mask
+    want = np.random.Generator(np.random.MT19937(seed)).random(63) < p
+    assert np.array_equal(got, want.reshape(shape))
+    raw = np.random.MT19937(seed).random_raw(63) >> np.uint64(11)
+    assert not np.array_equal(got.ravel(), raw * 2.0 ** -53 < p)
+
+
+def lgap_oracle(ell, m, u, trials, seed):
+    """Trials with no L-gap, from the definition: trial t's W = (m+1) + ell*m
+    uniforms are words t*W, ..., (t+1)*W - 1 of the raw stream of
+    Philox(key=seed), primary ones first, then ell rows of m secondary ones;
+    a gap at i is primary i and i+1 and every secondary (j, i) empty."""
+    width = (m + 1) + ell * m
+    words = np.random.Philox(key=seed).random_raw(trials * width)
+    count = 0
+    for t in range(trials):
+        occupied = [(int(w) >> 11) * 2.0 ** -53 < u for w in words[t * width:(t + 1) * width]]
+        primary, secondary = occupied[:m + 1], occupied[m + 1:]
+        count += not any(not primary[i] and not primary[i + 1]
+                         and not any(secondary[j * m + i] for j in range(ell))
+                         for i in range(m))
+    return count
+
+
+@pytest.mark.parametrize("ell,m,u,trials,seed", [
+    (0, 300, 0.3, 500, 3),  # 217 trials a block
+    (2, 40, 0.4, 1200, 2 ** 64 - 1),  # 541 trials a block
+    (1, 1, 0.5, 20, 0),
+])
+@pytest.mark.parametrize("block", [BLOCK_VERTICES, 1, 1000])
+def test_estimate_lgap_equals_definition_oracle(ell, m, u, trials, seed, block, monkeypatch):
+    # Trial t is fixed by its stream position, so no block size changes the count.
+    monkeypatch.setattr("bootperc.montecarlo.BLOCK_VERTICES", block)
+    est = estimate_lgap(ell, m, u, trials, seed)
+    assert round(est.p_hat * trials) == lgap_oracle(ell, m, u, trials, seed)
 
 
 def test_sample_blocks_refuses_bad_density():

@@ -10,7 +10,7 @@ from bootperc.dynamics import (
     percolates,
     semi_percolates,
 )
-from bootperc.montecarlo import EventSpec
+from bootperc.montecarlo import EventSpec, sample_bin
 from bootperc.span import (
     find_spanned_component,
     find_spanned_rectangle,
@@ -229,6 +229,18 @@ def test_constructors_refuse_non_integers():
     with pytest.raises(DomainError):
         spec.validate_coord(None)
     assert spec.validate_coord((np.int64(1), 2)) == (1, 2)
+
+
+@pytest.mark.parametrize("shape", [(4.5, 4), (4, 2.0), ("a", 2), (True, 2), (-1, 2), 5, None])
+@pytest.mark.parametrize("make", [CellSet, CellSet.full,
+                                  lambda shape: sample_bin(shape, 0.5, np.random.default_rng(0))],
+                         ids=["CellSet", "full", "sample_bin"])
+def test_grid_sides_follow_the_number_rule(shape, make):
+    # (4.5, 4) used to give a (4, 4) set, and ("a", 2) a bare ValueError.
+    with pytest.raises(DomainError):
+        make(shape)
+    shape = make((np.int64(3), 2)).shape
+    assert shape == (3, 2) and all(type(side) is int for side in shape)
 
 
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=12))
