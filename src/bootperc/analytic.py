@@ -36,7 +36,7 @@ class QuadratureSettings:
     abs_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not 0 < self.abs_tol < math.inf:
+        if not 0 < check_number(self.abs_tol, "abs_tol") < math.inf:
             raise DomainError(f"abs_tol must be positive and finite, not {self.abs_tol}")
 
 

@@ -55,9 +55,7 @@ def _load_grid(path: str) -> tuple[StructureSpec, CellSet]:
         raise DomainError(f"grid file {path!r} missing field: {exc}") from exc
     try:
         cells = CellSet.from_json(spec.shape, infected)
-    except DomainError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise DomainError(f"grid file {path!r} has bad 'infected' cells: {exc}") from exc
     return spec, cells
 

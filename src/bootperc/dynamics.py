@@ -20,7 +20,6 @@ Each event's input rule is one function here, which ``EventSpec`` calls too.
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -59,10 +58,8 @@ class CrossDirection:
     reverse: bool = False
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "axis", operator.index(self.axis))
-        except TypeError as exc:
-            raise DomainError(f"crossing axis must be an integer: {exc}") from exc
+        axis = check_number(self.axis, "crossing axis", numbers.Integral)
+        object.__setattr__(self, "axis", axis)
         if not isinstance(self.reverse, (bool, np.bool_)):
             raise DomainError(f"crossing reverse must be true or false, not {self.reverse!r}")
         object.__setattr__(self, "reverse", bool(self.reverse))
@@ -277,11 +274,11 @@ def check_crossing(spec: StructureSpec, rect: Rectangle, direction: CrossDirecti
 
 
 def check_semi_crossing(spec: StructureSpec, rect: Rectangle, axis: int) -> int:
-    """The semi-crossing rule: the star rule, R in bounds and an axis in 1..d,
-    an integer as for ``CrossDirection``; returns the axis as an int."""
+    """The semi-crossing rule: the star rule, R in bounds and an integer axis
+    in 1..d; returns the axis as an int."""
     check_semi_percolation(spec)
     check_rectangle(spec, rect)
-    axis = CrossDirection(axis).axis
+    axis = check_number(axis, "semi-crossing axis", numbers.Integral)
     if not 1 <= axis <= spec.d:
         raise DomainError(f"semi-crossing axis {axis} out of range 1..{spec.d}")
     return axis
@@ -378,7 +375,7 @@ def has_double_gap(dims: Sequence[int], cells, axes: Iterable[int] | None = None
     check_shape(dims, cells.shape)
     ndim = len(cells.shape)
     for axis in range(1, ndim + 1) if axes is None else axes:
-        ax = axis - 1
+        ax = check_number(axis, "axis", numbers.Integral) - 1
         if not 0 <= ax < ndim:
             raise DomainError(f"axis {axis} out of range for box {cells.shape}")
         occ = cells.mask.any(axis=tuple(i for i in range(ndim) if i != ax))

@@ -198,19 +198,27 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
 
 
 def _seed_word(master_seed: int) -> int:
-    """The 64-bit word of a master seed: its value modulo 2**64, so -1 is 2**64 - 1."""
-    return int(master_seed) & (2 ** 64 - 1)
+    """The 64-bit word of an integer master seed: its value modulo 2**64, so -1 is 2**64 - 1."""
+    return check_number(master_seed, "master seed", numbers.Integral) & (2 ** 64 - 1)
+
+
+def _index_word(index: int, name: str) -> int:
+    """The rule for a trial or task index: an integer in [0, 2**64)."""
+    index = check_number(index, name, numbers.Integral)
+    if not 0 <= index < 2 ** 64:
+        raise DomainError(f"{name} {index} outside [0, 2**64)")
+    return index
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Counter-style stream for one trial: Philox keyed on (seed, trial)."""
-    key = _seed_word(master_seed) * 2 ** 64 + int(trial)
+    key = _seed_word(master_seed) * 2 ** 64 + _index_word(trial, "trial")
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """A stable 64-bit subseed for the index-th child task."""
-    ss = np.random.SeedSequence([_seed_word(master_seed), int(index)])
+    ss = np.random.SeedSequence([_seed_word(master_seed), _index_word(index, "task index")])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -280,9 +288,9 @@ def estimate_p_alpha(spec: StructureSpec, event, alpha: float,
     interval is the final bisection bracket, not a guaranteed confidence
     interval.
     """
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < check_number(alpha, "alpha") < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    if not p_tol > 0.0:
+    if not check_number(p_tol, "p_tol") > 0.0:
         raise DomainError("p_tol must be positive")
     if not isinstance(event, EventSpec):
         event = EventSpec(event, spec)

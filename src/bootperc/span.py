@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ from .structures import (
     DomainError,
     Rectangle,
     StructureSpec,
+    check_number,
     check_shape,
     grid_tables,
     label_boxes,
@@ -148,7 +150,7 @@ def find_spanned_rectangle(spec: StructureSpec, cells: CellSet, length: int) -> 
     """A rectangle internally spanned by A with length <= long <= 2*length,
     taken from the merge algorithm's creation log; None if none was created.
     """
-    if length < 1:
+    if check_number(length, "target length", numbers.Integral) < 1:
         raise DomainError("target length must be >= 1")
     result = span_main_algorithm(spec, cells)
     for rect in result.creation_log:
@@ -173,7 +175,7 @@ def find_spanned_component(spec: StructureSpec, cells: CellSet, length: int) -> 
     since the previous state, where it failed that test, so after the first
     state only the new cell's component is tested.
     """
-    if length < 1:
+    if check_number(length, "target length", numbers.Integral) < 1:
         raise DomainError("target length must be >= 1")
     check_shape(spec, cells.shape)
 
@@ -191,7 +193,7 @@ def find_spanned_component(spec: StructureSpec, cells: CellSet, length: int) -> 
         eligible = np.flatnonzero(~infected & (counts >= thresholds))
         if not eligible.size:
             return None
-        v = int(eligible[0])  # least cell in canonical (flat) order
+        v = eligible[0]  # least cell in canonical (flat) order
         infected[v] = True
         touched = nbrs[v]
         counts[touched[touched >= 0]] += 1

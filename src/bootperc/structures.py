@@ -1,6 +1,7 @@
 """Lattice bootstrap structures: coordinates, thresholds, adjacency, geometry, labelling.
 
-Each rule on inputs is written once here: ``check_number`` for numbers,
+Each rule on inputs is written once here: ``check_number`` for numbers and
+the only cast of an integer input (a bool, float or string is refused),
 ``check_sides`` for a grid shape, ``check_coord`` for coordinates (with
 ``check_arity`` its part short of bounds), ``check_shape`` for a cell set's
 membership in a grid and ``check_rectangle`` for a rectangle of a structure.
@@ -45,36 +46,38 @@ class DomainError(ValueError):
     """Invalid argument: out-of-bounds coordinate, bad parameter, etc."""
 
 
-def check_number(value, name: str, kind=numbers.Real) -> None:
-    """The number rule: a ``kind`` that is not a bool, so JSON's true and "1" are refused."""
+def check_number(value, name: str, kind=numbers.Real):
+    """The number rule: a ``kind`` that is not a bool, so JSON's true and "1"
+    are refused.  Returns the value, an integer as a Python int."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a number"
         raise DomainError(f"{name} must be {noun}, not {value!r}")
+    return operator.index(value) if kind is numbers.Integral else value
 
 
 def check_sides(sides: Sequence[int]) -> tuple[int, ...]:
     """The rule for a grid shape: a sequence of integer sides, each >= 0.
-    Returns it as a tuple."""
+    Returns it as a tuple of ints."""
     try:
-        sides = tuple(sides)
+        sides = tuple(check_number(side, "grid side", numbers.Integral) for side in sides)
     except TypeError as exc:
         raise DomainError(f"grid shape {sides!r} is not a sequence of sides") from exc
-    for side in sides:
-        check_number(side, "grid side", numbers.Integral)
-        if side < 0:
-            raise DomainError(f"grid side {side} is negative")
-    return tuple(map(int, sides))
+    if min(sides, default=0) < 0:
+        raise DomainError(f"grid shape {sides} has a negative side")
+    return sides
 
 
-def check_arity(v: Sequence[int], arity: int) -> Coord:
-    """The coordinate rule short of bounds: ``v`` is a sequence of ``arity``
-    integers.  Returns it as a tuple."""
+def check_arity(v: Sequence[int], arity: int | None = None) -> Coord:
+    """The coordinate rule short of bounds: ``v`` is a sequence of integers,
+    ``arity`` of them unless that is None.  Returns it as a tuple of ints."""
     try:
-        v = tuple(map(operator.index, v))
+        v = tuple(check_number(x, "coordinate entry", numbers.Integral) for x in v)
     except TypeError as exc:
         raise DomainError(f"coordinate {v!r} is not a sequence of integers") from exc
-    if len(v) != arity:
-        raise DomainError(f"coordinate {v} has wrong arity for a grid of {arity} axes")
+    if arity is not None and len(v) != arity:
+        raise DomainError(f"coordinate {v} has arity {len(v)}, not {arity}")
     return v
 
 
@@ -116,10 +119,8 @@ class StructureSpec:
         if self.family not in (PLAIN, STAR, SLAB):
             raise DomainError(f"unknown family {self.family!r}")
         for name in ("n", "d", "r", "ell", "k"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError as exc:
-                raise DomainError(f"{name} must be an integer: {exc}") from exc
+            value = check_number(getattr(self, name), name, numbers.Integral)
+            object.__setattr__(self, name, value)
         if self.n < 1 or self.d < 1 or self.r < 1 or self.ell < 0:
             raise DomainError("n, d, r must be >= 1 and ell >= 0")
         if self.family == PLAIN and (self.ell != 0 or self.k != 1):
@@ -170,9 +171,8 @@ class StructureSpec:
     def from_json(obj: dict) -> "StructureSpec":
         try:
             family = obj["family"]
-            n, d, r = (operator.index(obj[key]) for key in ("n", "d", "r"))
-            ell = operator.index(obj.get("ell", 0))
-            k = operator.index(obj.get("k", {PLAIN: 1, STAR: 2}.get(family, 0)))
+            n, d, r = obj["n"], obj["d"], obj["r"]
+            ell, k = obj.get("ell", 0), obj.get("k", {PLAIN: 1, STAR: 2}.get(family, 0))
         except (KeyError, TypeError) as exc:
             raise DomainError(f"bad structure JSON: {exc}") from exc
         return StructureSpec(family, n, d, r, ell, k)
@@ -222,8 +222,8 @@ class CellSet:
 
     def __iter__(self) -> Iterator[Coord]:
         # np.argwhere scans in C order, which is exactly the canonical order.
-        for row in np.argwhere(self.mask):
-            yield tuple(int(x) + 1 for x in row)
+        for row in np.argwhere(self.mask) + 1:
+            yield tuple(row.tolist())
 
     def __len__(self) -> int:
         return int(self.mask.sum())
@@ -262,13 +262,8 @@ class Rectangle:
     hi: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for name in ("lo", "hi"):
-            try:
-                object.__setattr__(self, name, tuple(operator.index(x) for x in getattr(self, name)))
-            except TypeError as exc:
-                raise DomainError(f"rectangle {name} must be integers: {exc}") from exc
-        if len(self.lo) != len(self.hi):
-            raise DomainError("lo and hi must have the same arity")
+        object.__setattr__(self, "lo", check_arity(self.lo))
+        object.__setattr__(self, "hi", check_arity(self.hi, len(self.lo)))
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise DomainError(f"rectangle [{self.lo}, {self.hi}] has lo > hi")
 
@@ -311,7 +306,7 @@ class Rectangle:
     def from_json(obj: Sequence[Sequence[int]]) -> "Rectangle":
         if len(obj) != 2:
             raise DomainError("rectangle JSON must be [lo, hi]")
-        return Rectangle(tuple(obj[0]), tuple(obj[1]))
+        return Rectangle(obj[0], obj[1])
 
 
 def check_rectangle(spec: StructureSpec, rect: Rectangle) -> None:
@@ -327,8 +322,8 @@ def bounding_rectangle(cells: Iterable[Sequence[int]]) -> Rectangle:
     pts = [tuple(c) for c in cells]
     if not pts:
         raise DomainError("bounding rectangle of the empty set is undefined")
-    arr = np.asarray(pts, dtype=int)
-    return Rectangle(tuple(arr.min(axis=0)), tuple(arr.max(axis=0)))
+    pts = [check_arity(c, len(pts[0])) for c in pts]
+    return Rectangle(tuple(map(min, zip(*pts))), tuple(map(max, zip(*pts))))
 
 
 def threshold(spec: StructureSpec, v: Sequence[int]) -> int:

@@ -290,6 +290,29 @@ def test_bad_sweep_config_writes_no_csv(capsys, tmp_path, point, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,obj", [
+    ("closure", {"structure": {"family": "plain", "n": 4, "d": 2, "r": True},
+                 "infected": [[2, 1]]}),
+    ("closure", {"structure": {"family": "plain", "n": 4, "d": 2, "r": 2},
+                 "infected": [[True, 1], [2, 1]]}),
+    ("sweep", {"masterSeed": 7, "grid": [{
+        "structure": {"family": "plain", "n": 4, "d": 2, "r": 2},
+        "event": {"kind": "spans", "rect": [[True, 1], [4, 4]]}, "p": 0.3, "trials": 10}]}),
+    ("sweep", {"masterSeed": 7, "grid": [{
+        "structure": {"family": "slab", "n": 4, "d": 2, "r": 2, "ell": 1, "k": 3},
+        "event": {"kind": "crossed", "rect": [[1, 1], [4, 4]], "direction": {"axis": True}},
+        "p": 0.3, "trials": 10}]}),
+], ids=["structure-size", "infected-cell", "sweep-rect", "direction-axis"])
+def test_json_true_is_not_an_integer(capsys, tmp_path, command, obj):
+    # Each used to run as the integer 1.
+    path = write_json(tmp_path, "in.json", obj)
+    flags = ["--input", path] if command == "closure" else \
+        ["--config", path, "--out", str(tmp_path / "rows.csv")]
+    result = run(capsys, command, *flags)
+    assert_clean_config_error(*result)
+    assert "must be an integer, not True" in result[2]
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_lambda_non_finite_tolerance_is_config_error(capsys, tol):
     result = run(capsys, "lambda", "--d", "3", "--r", "2", "--tol", tol)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bootperc.structures import CellSet, DomainError, Rectangle, StructureSpec
-from bootperc.analytic import l_exact
+from bootperc.analytic import QuadratureSettings, l_exact
 from bootperc.dynamics import (
     BOTTOM_TO_TOP,
     LEFT_TO_RIGHT,
@@ -387,6 +387,29 @@ def test_trial_count_rule_is_one_rule(trials):
         with pytest.raises(DomainError, match="trials must be"):
             route()
     assert estimate_event_prob(event, 0.3, np.int64(4), 1).trials == 4
+
+
+@pytest.mark.parametrize("route", [lambda t: trial_rng(5, t), lambda t: derive_seed(5, t)],
+                         ids=["trial_rng", "derive_seed"])
+def test_trial_index_lies_in_64_bits(route):
+    # trial_rng(5, -1) used to give the stream of trial_rng(4, 2**64 - 1),
+    # and derive_seed(5, -1) a bare ValueError.
+    for index in (-1, 2 ** 64):
+        with pytest.raises(DomainError, match="outside"):
+            route(index)
+    route(2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: estimate_p_alpha(StructureSpec.plain(3, 2, 2), "percolates", "0.5", 10, 1, 0.1),
+    lambda: estimate_p_alpha(StructureSpec.plain(3, 2, 2), "percolates", 0.5, 10, 1, "0.1"),
+    lambda: estimate_p_alpha(StructureSpec.plain(3, 2, 2), "percolates", 0.5, 10, 1, True),
+    lambda: QuadratureSettings(abs_tol=True),
+], ids=["alpha-string", "p_tol-string", "p_tol-boolean", "abs_tol-boolean"])
+def test_tolerances_and_levels_follow_the_number_rule(make):
+    # The strings raised a bare TypeError, and True ran as 1.0.
+    with pytest.raises(DomainError, match="must be a number"):
+        make()
 
 
 CLOSURE_SPECS = [

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bootperc.dynamics import (
+    CrossDirection,
     closure,
     has_double_gap,
     is_crossed,
@@ -10,7 +11,14 @@ from bootperc.dynamics import (
     percolates,
     semi_percolates,
 )
-from bootperc.montecarlo import EventSpec, sample_bin
+from bootperc.montecarlo import (
+    EventSpec,
+    derive_seed,
+    estimate_event_prob,
+    estimate_lgap,
+    sample_bin,
+    trial_rng,
+)
 from bootperc.span import (
     find_spanned_component,
     find_spanned_rectangle,
@@ -241,6 +249,47 @@ def test_grid_sides_follow_the_number_rule(shape, make):
         make(shape)
     shape = make((np.int64(3), 2)).shape
     assert shape == (3, 2) and all(type(side) is int for side in shape)
+
+
+INT_STAR = StructureSpec.star(4, 2, 1, 2)
+INT_GRID = CellSet.from_mask(np.eye(6, dtype=bool))
+# Each entry point takes an integer x and returns what it keeps of x, or a
+# result that depends on x.  Each used to take True as 1 (an operator.index
+# cast), or 2.5 and "2" as 2 (an int() cast or an int array).
+INTEGER_ENTRIES = {
+    "structure-size": lambda x: StructureSpec.plain(x, 2, 2).n,
+    "structure-json": lambda x: StructureSpec.from_json(
+        {"family": "star", "n": 4, "d": 2, "r": 2, "ell": x}).ell,
+    "rectangle": lambda x: Rectangle((1, x), (4, 4)).lo,
+    "bounding-rectangle": lambda x: bounding_rectangle([(x, 2), (3, 4)]).lo,
+    "coordinate": lambda x: INT_STAR.validate_coord((x, 1, 1)),
+    "cell": lambda x: CellSet((4, 4), [(x, 1)]).mask.tobytes(),
+    "cross-direction": lambda x: CrossDirection(x).axis,
+    "semi-crossing-axis": lambda x: EventSpec("semi_crossed", INT_STAR, Rectangle((1, 1), (4, 4)),
+                                              axis=x).axis,
+    "estimate-seed": lambda x: estimate_event_prob(EventSpec("percolates", INT_STAR), 0.5, 5, x),
+    "lgap-seed": lambda x: estimate_lgap(1, 3, 0.5, 5, x),
+    "trial-rng-seed": lambda x: trial_rng(x, 0).random(2).tolist(),
+    "trial-rng-trial": lambda x: trial_rng(0, x).random(2).tolist(),
+    "derive-seed-seed": lambda x: derive_seed(x, 0),
+    "derive-seed-index": lambda x: derive_seed(0, x),
+    "witness-rectangle-length": lambda x: find_spanned_rectangle(
+        StructureSpec.plain(6, 2, 2), INT_GRID, x),
+    "witness-component-length": lambda x: find_spanned_component(
+        StructureSpec.plain(6, 2, 2), INT_GRID, x),
+    "double-gap-axes": lambda x: has_double_gap((6, 6), [(1, 1), (4, 4)], [x]),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES.values(), ids=INTEGER_ENTRIES.keys())
+def test_integer_inputs_follow_the_number_rule(entry):
+    for bad in (True, 2.5, "2"):
+        with pytest.raises(DomainError):
+            entry(bad)
+    kept, want = entry(np.int64(2)), entry(2)
+    assert kept == want and type(kept) is type(want)
+    if isinstance(kept, tuple):
+        assert all(type(x) is int for x in kept)
 
 
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=12))
