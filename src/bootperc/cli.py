@@ -35,10 +35,12 @@ from . import dynamics
 
 
 def _load_json(path: str) -> dict:
+    """The one reader of an input file: text that is not UTF-8 JSON within
+    Python's digit and nesting limits is a DomainError."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DomainError(f"malformed JSON in {path!r}: {exc}") from exc
 
 
@@ -49,15 +51,11 @@ def _load_structure(path: str) -> StructureSpec:
 def _load_grid(path: str) -> tuple[StructureSpec, CellSet]:
     obj = _load_json(path)
     try:
-        spec = StructureSpec.from_json(obj["structure"])
-        infected = obj["infected"]
+        structure, infected = obj["structure"], obj["infected"]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"grid file {path!r} missing field: {exc}") from exc
-    try:
-        cells = CellSet.from_json(spec.shape, infected)
-    except TypeError as exc:
-        raise DomainError(f"grid file {path!r} has bad 'infected' cells: {exc}") from exc
-    return spec, cells
+    spec = StructureSpec.from_json(structure)
+    return spec, CellSet.from_json(spec.shape, infected)
 
 
 def _parse_rect(text: str) -> Rectangle:
@@ -73,12 +71,9 @@ def _parse_rect(text: str) -> Rectangle:
 
 def _build_event(args, spec: StructureSpec) -> EventSpec:
     kind = args.event.replace("-", "_")
-    rect = _parse_rect(args.rect) if getattr(args, "rect", None) else None
-    direction = (CrossDirection.from_name(args.orientation)
-                 if getattr(args, "orientation", None) else None)
-    return EventSpec(kind, spec, rect, direction,
-                     getattr(args, "axis", None),
-                     getattr(args, "long_threshold", None))
+    rect = _parse_rect(args.rect) if args.rect else None
+    direction = CrossDirection.from_name(args.orientation) if args.orientation else None
+    return EventSpec(kind, spec, rect, direction, args.axis, args.long_threshold)
 
 
 def _fmt(x: float) -> str:

@@ -86,9 +86,10 @@ BOTTOM_TO_TOP = CrossDirection(2, False)
 TOP_TO_BOTTOM = CrossDirection(2, True)
 
 
-# A threshold that no neighbour count reaches: a vertex has at most 2 * 64
-# neighbours, since numpy arrays have at most 64 axes.  Counts and
-# thresholds are uint8.
+# A threshold that no neighbour count reaches: a vertex of a structure has
+# at most 2 * MAX_AXES = 24 neighbours, and a vertex of a closure_uniform box
+# at most 2 * 63, since a block adds one axis to numpy's limit of 64.  Counts
+# and thresholds are uint8.
 _NEVER = 255
 
 # Blocks of fewer vertices add each round's counts by a bincount of the

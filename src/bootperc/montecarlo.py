@@ -17,6 +17,7 @@ so no estimate depends on the block size.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import numbers
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structures import (
+    MAX_VERTICES,
     CellSet,
     DomainError,
     Rectangle,
@@ -279,6 +281,12 @@ def estimate_event_prob(event: EventSpec, p: float, trials: int,
     return _estimate(successes, trials, master_seed)
 
 
+def _check_event_structure(event: EventSpec, spec: StructureSpec) -> None:
+    """The rule for an event run on a structure: it is an event of that structure."""
+    if event.structure != spec:
+        raise DomainError(f"event is on {event.structure}, not on {spec}")
+
+
 def estimate_p_alpha(spec: StructureSpec, event, alpha: float,
                      trials_per_eval: int, seed: int, p_tol: float) -> Estimate:
     """Stochastic bisection for p_alpha = inf{p : P(event at p) >= alpha}.
@@ -292,10 +300,11 @@ def estimate_p_alpha(spec: StructureSpec, event, alpha: float,
         raise DomainError("alpha must lie in (0, 1)")
     if not check_number(p_tol, "p_tol") > 0.0:
         raise DomainError("p_tol must be positive")
+    _check_trials(trials_per_eval)
+    _seed_word(seed)
     if not isinstance(event, EventSpec):
         event = EventSpec(event, spec)
-    elif event.structure != spec:
-        raise DomainError(f"event is on {event.structure}, not on {spec}")
+    _check_event_structure(event, spec)
     lo, hi = 0.0, 1.0
     evals = 0
     while hi - lo >= p_tol:
@@ -325,6 +334,8 @@ def estimate_lgap(ell: int, m: int, u: float, trials: int, master_seed: int) -> 
     _check_density(u, "u")
     _check_trials(trials)
     width = (m + 1) + ell * m
+    if width > MAX_VERTICES:
+        raise DomainError(f"an lgap trial of (m + 1) + ell * m words is wider than {MAX_VERTICES}")
     step = max(1, BLOCK_VERTICES // width)
     bits = np.random.Philox(key=_seed_word(master_seed))
     gaps = 0
@@ -344,7 +355,8 @@ class SweepPoint:
     trials: int
 
     def __post_init__(self) -> None:
-        _check_density(self.p)
+        _check_event_structure(self.event, self.structure)
+        object.__setattr__(self, "p", _check_density(self.p))
         _check_trials(self.trials)
 
 
@@ -371,14 +383,14 @@ class SweepConfig:
         points = []
         for entry in grid:
             try:
-                structure = StructureSpec.from_json(entry["structure"])
-                event = EventSpec.from_json(entry["event"], structure)
-                ps = entry["p"]
-                ps = [_check_density(p) for p in (ps if isinstance(ps, list) else [ps])]
-                trials = entry["trials"]
-            except (KeyError, TypeError, ValueError) as exc:
+                structure, event = entry["structure"], entry["event"]
+                ps, trials = entry["p"], entry["trials"]
+            except (KeyError, TypeError) as exc:
                 raise DomainError(f"bad sweep grid entry: {exc}") from exc
-            points += [SweepPoint(structure, event, p, trials) for p in ps]
+            structure = StructureSpec.from_json(structure)
+            event = EventSpec.from_json(event, structure)
+            points += [SweepPoint(structure, event, p, trials)
+                       for p in (ps if isinstance(ps, list) else [ps])]
         return SweepConfig(tuple(points), master_seed)
 
 
@@ -389,27 +401,20 @@ SWEEP_COLUMNS = ["family", "n", "d", "ell", "k", "r", "event", "p",
 def run_sweep(config: SweepConfig, out_path: str | None = None) -> list[dict]:
     """Evaluate every grid point; stream rows to CSV if a path is given."""
     rows = []
-    writer = None
-    handle = None
-    try:
+    with contextlib.ExitStack() as stack:
+        writer = None
         if out_path is not None:
             try:
-                handle = open(out_path, "w", newline="")
+                handle = stack.enter_context(open(out_path, "w", newline=""))
             except OSError as exc:
                 raise OSError(f"cannot open sweep output {out_path!r}: {exc}") from exc
             writer = csv.DictWriter(handle, fieldnames=SWEEP_COLUMNS)
             writer.writeheader()
         for idx, point in enumerate(config.points):
             seed = derive_seed(config.master_seed, idx)
-            try:
-                est = estimate_event_prob(point.event, point.p, point.trials, seed)
-            except Exception as exc:
-                raise type(exc)(f"sweep point {idx} ({point.event.kind}, "
-                                f"p={point.p}): {exc}") from exc
-            spec = point.structure
+            est = estimate_event_prob(point.event, point.p, point.trials, seed)
             row = {
-                "family": spec.family, "n": spec.n, "d": spec.d,
-                "ell": spec.ell, "k": spec.k, "r": spec.r,
+                **point.structure.to_json(),
                 "event": point.event.kind, "p": repr(point.p),
                 "trials": point.trials, "pHat": repr(est.p_hat),
                 "ciLow": repr(est.ci_low), "ciHigh": repr(est.ci_high),
@@ -419,7 +424,4 @@ def run_sweep(config: SweepConfig, out_path: str | None = None) -> list[dict]:
             if writer is not None:
                 writer.writerow(row)
                 handle.flush()
-    finally:
-        if handle is not None:
-            handle.close()
     return rows

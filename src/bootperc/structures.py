@@ -1,10 +1,15 @@
 """Lattice bootstrap structures: coordinates, thresholds, adjacency, geometry, labelling.
 
-Each rule on inputs is written once here: ``check_number`` for numbers and
-the only cast of an integer input (a bool, float or string is refused),
-``check_sides`` for a grid shape, ``check_coord`` for coordinates (with
-``check_arity`` its part short of bounds), ``check_shape`` for a cell set's
-membership in a grid and ``check_rectangle`` for a rectangle of a structure.
+Each rule on inputs is written once here: ``check_number`` for numbers (a
+bool, NaN or string is refused) and the only cast of an integer input (a
+float is refused too), ``check_sides`` for a grid shape, ``check_coord`` for
+coordinates (with ``check_arity`` its part short of bounds), ``check_shape``
+for a cell set's membership in a grid and ``check_rectangle`` for a rectangle
+of a structure.  Each type refuses its own malformed input with a
+DomainError: ``CellSet`` a cell list that is not iterable,
+``Rectangle.from_json`` anything but a ``[lo, hi]`` pair, and
+``StructureSpec`` a structure of more than ``MAX_VERTICES`` vertices or
+``MAX_AXES`` axes.
 
 The lattice is [n]^d x [k]^ell with 1-based coordinates.  The first d axes
 are "horizontal", the trailing ell axes are "thickness".  Three families are
@@ -40,6 +45,10 @@ SLAB = "slab"
 # (grid_tables) takes 16 * (d + ell) bytes per vertex, 64 MiB * (d + ell) at
 # this cap.
 MAX_VERTICES = 1 << 22
+# Most axes d + ell a structure may have: label_rows labels a block of its
+# rows with a structuring element of 3**(d + ell + 1) cells, held to the same
+# budget (12 axes).
+MAX_AXES = next(a for a in range(64) if 3 ** (a + 2) > MAX_VERTICES)
 
 
 class DomainError(ValueError):
@@ -47,11 +56,11 @@ class DomainError(ValueError):
 
 
 def check_number(value, name: str, kind=numbers.Real):
-    """The number rule: a ``kind`` that is not a bool, so JSON's true and "1"
-    are refused.  Returns the value, an integer as a Python int."""
+    """The number rule: a ``kind`` that is not a bool or NaN, so JSON's true,
+    "1" and a NaN are refused.  Returns the value, an integer as a Python int."""
     if type(value) is int:
         return value
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind) or value != value:
         noun = "an integer" if kind is numbers.Integral else "a number"
         raise DomainError(f"{name} must be {noun}, not {value!r}")
     return operator.index(value) if kind is numbers.Integral else value
@@ -129,9 +138,9 @@ class StructureSpec:
             raise DomainError("star structures have thickness side 2")
         if self.family == SLAB and self.k < 2:
             raise DomainError("slab structures need k >= 2")
-        # Exponents capped at 64 keep the count cheap for a huge d or ell;
-        # any side >= 2 raised to 64 already exceeds the cap.
-        if self.n ** min(self.d, 64) * self.k ** min(self.ell, 64) > MAX_VERTICES:
+        if self.d + self.ell > MAX_AXES:
+            raise DomainError(f"structure has more than {MAX_AXES} axes")
+        if self.n ** self.d * self.k ** self.ell > MAX_VERTICES:
             raise DomainError(f"structure has more than {MAX_VERTICES} vertices")
 
     @staticmethod
@@ -193,6 +202,10 @@ class CellSet:
     def __init__(self, shape: Sequence[int], cells: Iterable[Sequence[int]] = ()):
         self.shape = check_sides(shape)
         self.mask = np.zeros(self.shape, dtype=bool)
+        try:
+            cells = iter(cells)
+        except TypeError as exc:
+            raise DomainError(f"cell list {cells!r} is not a sequence of cells") from exc
         for c in cells:
             self.add(c)
 
@@ -304,9 +317,11 @@ class Rectangle:
 
     @staticmethod
     def from_json(obj: Sequence[Sequence[int]]) -> "Rectangle":
-        if len(obj) != 2:
-            raise DomainError("rectangle JSON must be [lo, hi]")
-        return Rectangle(obj[0], obj[1])
+        try:
+            lo, hi = obj
+        except (TypeError, ValueError) as exc:
+            raise DomainError("rectangle JSON must be [lo, hi]") from exc
+        return Rectangle(lo, hi)
 
 
 def check_rectangle(spec: StructureSpec, rect: Rectangle) -> None:

@@ -313,6 +313,48 @@ def test_json_true_is_not_an_integer(capsys, tmp_path, command, obj):
     assert "must be an integer, not True" in result[2]
 
 
+UNREADABLE_FILES = {
+    "not-utf8": b'{"structure": "\xff"}',
+    "5000-digits": b'{"structure": {"family": "plain", "n": ' + b"9" * 5000
+                   + b', "d": 2, "r": 2}, "infected": []}',
+    "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("data", UNREADABLE_FILES.values(), ids=UNREADABLE_FILES.keys())
+def test_unreadable_file_is_config_error(capsys, tmp_path, data):
+    # Each used to end in a traceback: UnicodeDecodeError, ValueError from
+    # Python's 4300-digit limit and RecursionError.
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    assert_clean_config_error(*run(capsys, "closure", "--input", str(path)))
+
+
+@pytest.mark.parametrize("command,d", [("span", 40), ("closure", 64), ("closure", 70)])
+def test_structure_over_axis_budget_is_config_error(capsys, tmp_path, command, d):
+    # One vertex, within the vertex budget.  The span asked numpy for a
+    # 3**41-cell labelling structure; the closures raised IndexError (d = 64)
+    # and numpy's 64-axis ValueError (d = 70).
+    grid = {"structure": {"family": "plain", "n": 1, "d": d, "r": 2}, "infected": []}
+    result = run(capsys, command, "--input", write_json(tmp_path, "g.json", grid))
+    assert_clean_config_error(*result)
+    assert "axes" in result[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lgap", "--ell", "0", "--m", str(10 ** 12), "--u", "0.5", "--trials", "1", "--seed", "1"],
+    ["threshold", "--alpha", "0.5", "--structure", "S", "--event", "percolates",
+     "--trials", "0", "--seed", "1", "--ptol", "2"],
+    ["estimate", "--event", "long-span", "--structure", "S", "--long-threshold", "nan",
+     "--p", "0.3", "--trials", "5", "--seed", "1"],
+], ids=["lgap-trial-over-budget", "threshold-no-trials", "long-threshold-nan"])
+def test_number_outside_its_rule_is_config_error(capsys, tmp_path, argv):
+    # The lgap trial asked numpy for 7.28 TiB; the other two exited 0, with
+    # totalTrials=0 and with pHat=0.
+    struct = write_json(tmp_path, "s.json", {"family": "plain", "n": 3, "d": 2, "r": 2})
+    assert_clean_config_error(*run(capsys, *[struct if a == "S" else a for a in argv]))
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_lambda_non_finite_tolerance_is_config_error(capsys, tol):
     result = run(capsys, "lambda", "--d", "3", "--r", "2", "--tol", tol)

@@ -13,9 +13,11 @@ from bootperc.dynamics import (
 )
 from bootperc.montecarlo import (
     EventSpec,
+    SweepPoint,
     derive_seed,
     estimate_event_prob,
     estimate_lgap,
+    estimate_p_alpha,
     sample_bin,
     trial_rng,
 )
@@ -27,6 +29,7 @@ from bootperc.span import (
     span_main_algorithm,
 )
 from bootperc.structures import (
+    MAX_AXES,
     MAX_VERTICES,
     CellSet,
     DomainError,
@@ -343,3 +346,36 @@ def test_cell_set_of_another_grid_is_refused_alike_everywhere(shape):
         messages[name] = str(info.value)
     assert set(messages.values()) == {
         f"cell set of shape {shape} does not belong to the grid of shape (4, 4, 2)"}
+
+
+# Each reader refuses its own malformed input.  The first four used to raise
+# a bare TypeError; the sweep point ran on the event's structure while its
+# row named its own; the bisection returned with no trial run.
+MALFORMED_INPUTS = {
+    "cell-list": lambda: CellSet((4, 4), 5),
+    "double-gap-cells": lambda: has_double_gap((4, 4), 5),
+    "rectangle-json": lambda: Rectangle.from_json(5),
+    "event-rect": lambda: EventSpec.from_json({"kind": "spans", "rect": 5},
+                                              StructureSpec.plain(4, 2, 2)),
+    "sweep-point-structure": lambda: SweepPoint(
+        StructureSpec.plain(4, 2, 2), EventSpec("percolates", StructureSpec.plain(8, 2, 2)), 0.5, 20),
+    "bisection-trials-and-seed": lambda: estimate_p_alpha(
+        StructureSpec.plain(3, 2, 2), "percolates", 0.5, "x", "y", 2.0),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_each_reader_refuses_its_malformed_input(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_axis_budget_is_the_labelling_budget():
+    # label_rows labels a block with 3**(d + ell + 1) cells: 12 axes fit in
+    # MAX_VERTICES and 13 do not.
+    assert MAX_AXES == 12 and 3 ** (MAX_AXES + 1) <= MAX_VERTICES < 3 ** (MAX_AXES + 2)
+    for spec in (StructureSpec.plain(1, 12, 2), StructureSpec.star(1, 11, 1, 2)):
+        assert span_direct(spec, CellSet(spec.shape)).rectangles == ()
+    for make in (lambda: StructureSpec.plain(1, 13, 2), lambda: StructureSpec.star(1, 12, 1, 2)):
+        with pytest.raises(DomainError, match="axes"):
+            make()
