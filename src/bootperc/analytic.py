@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import DomainError, check_number
+from .structures import DomainError, check_number, shown
 
 
 class ConvergenceError(ArithmeticError):
@@ -37,7 +37,7 @@ class QuadratureSettings:
 
     def __post_init__(self) -> None:
         if not 0 < check_number(self.abs_tol, "abs_tol") < math.inf:
-            raise DomainError(f"abs_tol must be positive and finite, not {self.abs_tol}")
+            raise DomainError(f"abs_tol must be positive and finite, not {shown(self.abs_tol)}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -52,7 +52,7 @@ def beta(k: int, u: float) -> float:
     if k < 1:
         raise DomainError("k must be >= 1")
     if not 0.0 <= u <= 1.0:
-        raise DomainError(f"u = {u} outside [0, 1]")
+        raise DomainError(f"u = {shown(u)} outside [0, 1]")
     w = (1.0 - u) ** k
     b = 1.0 - w
     c = u * w
@@ -80,7 +80,7 @@ def g(k: int, z: float) -> float:
 def q_of_p(p: float) -> float:
     """q = -log(1 - p), the natural growth parameter."""
     if not 0.0 <= p < 1.0:
-        raise DomainError(f"p = {p} outside [0, 1)")
+        raise DomainError(f"p = {shown(p)} outside [0, 1)")
     return -math.log1p(-p)
 
 
@@ -102,7 +102,7 @@ def l_exact(ell: int, m: int, u: float) -> float:
     if m < -1:
         raise DomainError("m must be >= -1")
     if not 0.0 <= u <= 1.0:
-        raise DomainError(f"u = {u} outside [0, 1]")
+        raise DomainError(f"u = {shown(u)} outside [0, 1]")
     if m <= 0:
         return 1.0
     w = (1.0 - u) ** (ell + 1)

@@ -35,12 +35,14 @@ from .structures import (
     Rectangle,
     StructureSpec,
     check_arity,
+    check_flag,
     check_number,
     check_rectangle,
     check_shape,
     column_thresholds,
     grid_tables,
     label_rows,
+    shown,
     threshold_table,
 )
 
@@ -60,9 +62,7 @@ class CrossDirection:
     def __post_init__(self) -> None:
         axis = check_number(self.axis, "crossing axis", numbers.Integral)
         object.__setattr__(self, "axis", axis)
-        if not isinstance(self.reverse, (bool, np.bool_)):
-            raise DomainError(f"crossing reverse must be true or false, not {self.reverse!r}")
-        object.__setattr__(self, "reverse", bool(self.reverse))
+        object.__setattr__(self, "reverse", check_flag(self.reverse, "crossing reverse"))
 
     _NAMES = {
         "left-to-right": (1, False),
@@ -271,7 +271,7 @@ def check_crossing(spec: StructureSpec, rect: Rectangle, direction: CrossDirecti
         raise DomainError("crossing is defined for slab structures with d = 2")
     check_rectangle(spec, rect)
     if not 1 <= direction.axis <= spec.d:
-        raise DomainError(f"crossing axis {direction.axis} out of range 1..{spec.d}")
+        raise DomainError(f"crossing axis {shown(direction.axis)} out of range 1..{spec.d}")
 
 
 def check_semi_crossing(spec: StructureSpec, rect: Rectangle, axis: int) -> int:
@@ -281,7 +281,7 @@ def check_semi_crossing(spec: StructureSpec, rect: Rectangle, axis: int) -> int:
     check_rectangle(spec, rect)
     axis = check_number(axis, "semi-crossing axis", numbers.Integral)
     if not 1 <= axis <= spec.d:
-        raise DomainError(f"semi-crossing axis {axis} out of range 1..{spec.d}")
+        raise DomainError(f"semi-crossing axis {shown(axis)} out of range 1..{spec.d}")
     return axis
 
 
@@ -378,7 +378,7 @@ def has_double_gap(dims: Sequence[int], cells, axes: Iterable[int] | None = None
     for axis in range(1, ndim + 1) if axes is None else axes:
         ax = check_number(axis, "axis", numbers.Integral) - 1
         if not 0 <= ax < ndim:
-            raise DomainError(f"axis {axis} out of range for box {cells.shape}")
+            raise DomainError(f"axis {shown(axis)} out of range for box {cells.shape}")
         occ = cells.mask.any(axis=tuple(i for i in range(ndim) if i != ax))
         padded = np.concatenate(([False], occ, [False]))
         if bool((~padded[:-1] & ~padded[1:]).any()):

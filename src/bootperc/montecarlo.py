@@ -34,6 +34,7 @@ from .structures import (
     check_number,
     check_rectangle,
     check_sides,
+    shown,
 )
 from .dynamics import (
     LEFT_TO_RIGHT,
@@ -186,7 +187,7 @@ def _check_density(p: float, name: str = "p") -> float:
     """The rule for a density: a number in [0, 1].  Returns it as a float."""
     check_number(p, name)
     if not 0.0 <= p <= 1.0:
-        raise DomainError(f"{name} = {p} outside [0, 1]")
+        raise DomainError(f"{name} = {shown(p)} outside [0, 1]")
     return float(p)
 
 
@@ -208,7 +209,7 @@ def _index_word(index: int, name: str) -> int:
     """The rule for a trial or task index: an integer in [0, 2**64)."""
     index = check_number(index, name, numbers.Integral)
     if not 0 <= index < 2 ** 64:
-        raise DomainError(f"{name} {index} outside [0, 2**64)")
+        raise DomainError(f"{name} {shown(index)} outside [0, 2**64)")
     return index
 
 

@@ -13,6 +13,7 @@ from .structures import (
     DomainError,
     Rectangle,
     StructureSpec,
+    check_flag,
     check_number,
     check_shape,
     grid_tables,
@@ -65,20 +66,27 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return out.reshape(mask.shape)
 
 
+def _bits(mask: np.ndarray) -> int:
+    """``mask`` as a Python-int bitset, one bit per cell in flat order."""
+    return int.from_bytes(np.packbits(mask).tobytes(), "big")
+
+
 class _Piece:
-    """One piece of the merge algorithm: a subset of A with its closure, as
-    masks.  ``reach`` is the closure and ``near`` the projected closure
-    ``proj``, each grown by one step."""
+    """One piece of the merge algorithm: a subset of A, kept as its closure
+    ``closed`` (a mask).  ``start`` is the subset, or the union of the
+    closures of the pieces merged, whose closure is the same and takes fewer
+    rounds.  The pair tests read int bitsets: ``proj`` the projected closure,
+    ``near`` that grown by one step and ``reach`` the closure grown by one."""
 
-    __slots__ = ("cells", "closed", "proj", "near", "rect", "reach")
+    __slots__ = ("closed", "proj", "near", "rect", "reach")
 
-    def __init__(self, spec: StructureSpec, cells: np.ndarray):
-        self.cells = cells
-        self.closed = closure_batch(spec, cells[None])[0]
-        self.proj = self.closed.any(axis=tuple(range(spec.d, self.closed.ndim)))
-        self.near = _dilate(self.proj)
-        self.reach = _dilate(self.closed)
-        self.rect = _rectangle(label_boxes(self.proj[None].view(np.int8))[0])
+    def __init__(self, spec: StructureSpec, start: np.ndarray):
+        self.closed = closure_batch(spec, start[None])[0]
+        proj = self.closed.any(axis=tuple(range(spec.d, self.closed.ndim)))
+        self.proj = _bits(proj)
+        self.near = _bits(_dilate(proj))
+        self.reach = _bits(_dilate(self.closed))
+        self.rect = _rectangle(label_boxes(proj[None].view(np.int8))[0])
 
 
 def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
@@ -94,13 +102,14 @@ def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
     ``exhaustive=True`` disables the interaction-proximity pruning in (b).
     """
     check_shape(spec, cells.shape)
+    exhaustive = check_flag(exhaustive, "exhaustive")
     # Singletons in canonical (flat) order.
     flat_ids = np.arange(cells.mask.size).reshape(cells.shape)
     pieces = [_Piece(spec, flat_ids == v) for v in np.flatnonzero(cells.mask)]
     log: list[Rectangle] = [p.rect for p in pieces]
 
     def union(indices: tuple[int, ...]) -> np.ndarray:
-        return np.logical_or.reduce([pieces[i].cells for i in indices])
+        return np.logical_or.reduce([pieces[i].closed for i in indices])
 
     def merge(indices: tuple[int, ...]) -> None:
         new = _Piece(spec, union(indices))
@@ -113,7 +122,7 @@ def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
         action = None
         # Operation (a): merge two pieces with touching projected closures.
         for i, j in itertools.combinations(range(len(pieces)), 2):
-            if (pieces[i].near & pieces[j].proj).any():
+            if pieces[i].near & pieces[j].proj:
                 action = (i, j)
                 break
         if action is None:
@@ -122,7 +131,7 @@ def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
             for t in range(2, max_t + 1):
                 for subset in itertools.combinations(range(len(pieces)), t):
                     if not exhaustive and not any(
-                        (pieces[i].reach & pieces[j].reach).any()
+                        pieces[i].reach & pieces[j].reach
                         for i, j in itertools.combinations(subset, 2)
                     ):
                         continue

@@ -2,10 +2,11 @@
 
 Each rule on inputs is written once here: ``check_number`` for numbers (a
 bool, NaN or string is refused) and the only cast of an integer input (a
-float is refused too), ``check_sides`` for a grid shape, ``check_coord`` for
-coordinates (with ``check_arity`` its part short of bounds), ``check_shape``
-for a cell set's membership in a grid and ``check_rectangle`` for a rectangle
-of a structure.  Each type refuses its own malformed input with a
+float is refused too), ``check_flag`` for a flag, ``check_sides`` for a grid
+shape, ``check_coord`` for coordinates (with ``check_arity`` its part short of
+bounds), ``check_shape`` for a cell set's membership in a grid and
+``check_rectangle`` for a rectangle of a structure; ``shown`` quotes a refused
+number in a message.  Each type refuses its own malformed input with a
 DomainError: ``CellSet`` a cell list that is not iterable,
 ``Rectangle.from_json`` anything but a ``[lo, hi]`` pair, and
 ``StructureSpec`` a structure of more than ``MAX_VERTICES`` vertices or
@@ -66,6 +67,26 @@ def check_number(value, name: str, kind=numbers.Real):
     return operator.index(value) if kind is numbers.Integral else value
 
 
+def check_flag(value, name: str) -> bool:
+    """The flag rule: a bool, so 0, None and "no" are refused.  Returns it as a bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"{name} must be true or false, not {value!r}")
+    return bool(value)
+
+
+def shown(value) -> str:
+    """``value`` as an error message quotes it.  An integer past Python's
+    limit on ``str(int)`` (4300 digits), alone or in a tuple or list, is
+    quoted by its bit length instead.  Call it only on the error path."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, (tuple, list)):
+            inner = ", ".join(map(shown, value))
+            return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
+        return f"{'-' if value < 0 else ''}<integer of {abs(value).bit_length()} bits>"
+
+
 def check_sides(sides: Sequence[int]) -> tuple[int, ...]:
     """The rule for a grid shape: a sequence of integer sides, each >= 0.
     Returns it as a tuple of ints."""
@@ -74,7 +95,7 @@ def check_sides(sides: Sequence[int]) -> tuple[int, ...]:
     except TypeError as exc:
         raise DomainError(f"grid shape {sides!r} is not a sequence of sides") from exc
     if min(sides, default=0) < 0:
-        raise DomainError(f"grid shape {sides} has a negative side")
+        raise DomainError(f"grid shape {shown(sides)} has a negative side")
     return sides
 
 
@@ -86,7 +107,7 @@ def check_arity(v: Sequence[int], arity: int | None = None) -> Coord:
     except TypeError as exc:
         raise DomainError(f"coordinate {v!r} is not a sequence of integers") from exc
     if arity is not None and len(v) != arity:
-        raise DomainError(f"coordinate {v} has arity {len(v)}, not {arity}")
+        raise DomainError(f"coordinate {shown(v)} has arity {len(v)}, not {arity}")
     return v
 
 
@@ -97,7 +118,7 @@ def check_coord(shape: tuple[int, ...], v: Sequence[int]) -> Coord:
     v = check_arity(v, len(shape))
     for x, side in zip(v, shape):
         if not 1 <= x <= side:
-            raise DomainError(f"coordinate {v} out of bounds for the grid {shape}")
+            raise DomainError(f"coordinate {shown(v)} out of bounds for the grid {shape}")
     return v
 
 
@@ -278,7 +299,7 @@ class Rectangle:
         object.__setattr__(self, "lo", check_arity(self.lo))
         object.__setattr__(self, "hi", check_arity(self.hi, len(self.lo)))
         if any(a > b for a, b in zip(self.lo, self.hi)):
-            raise DomainError(f"rectangle [{self.lo}, {self.hi}] has lo > hi")
+            raise DomainError(f"rectangle [{shown(self.lo)}, {shown(self.hi)}] has lo > hi")
 
     @property
     def dim(self) -> tuple[int, ...]:
@@ -330,7 +351,7 @@ def check_rectangle(spec: StructureSpec, rect: Rectangle) -> None:
         for corner in (rect.lo, rect.hi):
             check_coord(spec.shape[:spec.d], corner)
     except DomainError as exc:
-        raise DomainError(f"rectangle {rect.to_json()}: {exc}") from None
+        raise DomainError(f"rectangle {shown(rect.to_json())}: {exc}") from None
 
 
 def bounding_rectangle(cells: Iterable[Sequence[int]]) -> Rectangle:

@@ -1,3 +1,4 @@
+import itertools
 from collections import deque
 
 import numpy as np
@@ -220,6 +221,96 @@ def test_find_spanned_component_equals_reference(spec):
             assert got == want if want is not None else got is None
             found += want is not None
     assert found
+
+
+# --- the merge algorithm against the loop it replaced ---------------------------
+
+def reference_span_main_algorithm(spec, cells, exhaustive=False):
+    """The merge algorithm as first written: pieces are dicts of masks, every
+    pair test is a mask ``(a & b).any()``, and every closure starts from the
+    cells of A that a piece or a subset of pieces holds."""
+    def dilate(mask):
+        return ndimage.binary_dilation(mask, ndimage.generate_binary_structure(mask.ndim, 1))
+
+    def piece(part):
+        closed = closure(spec, CellSet.from_mask(part)).mask
+        proj = closed.any(axis=tuple(range(spec.d, closed.ndim)))
+        corners = np.argwhere(proj)
+        rect = Rectangle(tuple(corners.min(axis=0) + 1), tuple(corners.max(axis=0) + 1))
+        return {"cells": part, "closed": closed, "proj": proj, "near": dilate(proj),
+                "reach": dilate(closed), "rect": rect}
+
+    def union(indices):
+        return np.logical_or.reduce([pieces[i]["cells"] for i in indices])
+
+    pieces = []
+    for v in np.flatnonzero(cells.mask):
+        single = np.zeros(cells.mask.size, dtype=bool)
+        single[v] = True
+        pieces.append(piece(single.reshape(cells.shape)))
+    log = [q["rect"] for q in pieces]
+    while len(pieces) > 1:
+        action = None
+        for i, j in itertools.combinations(range(len(pieces)), 2):
+            if (pieces[i]["near"] & pieces[j]["proj"]).any():
+                action = (i, j)
+                break
+        if action is None:
+            for t in range(2, min(spec.r + spec.ell, len(pieces)) + 1):
+                for subset in itertools.combinations(range(len(pieces)), t):
+                    if not exhaustive and not any(
+                            (pieces[i]["reach"] & pieces[j]["reach"]).any()
+                            for i, j in itertools.combinations(subset, 2)):
+                        continue
+                    joint = closure(spec, CellSet.from_mask(union(subset)))
+                    if len(joint) > sum(pieces[i]["closed"].sum() for i in subset):
+                        action = subset
+                        break
+                if action is not None:
+                    break
+        if action is None:
+            break
+        new = piece(union(action))
+        for i in sorted(action, reverse=True):
+            del pieces[i]
+        pieces.append(new)
+        log.append(new["rect"])
+    return tuple(q["rect"] for q in pieces), tuple(log)
+
+
+# plain(5,3,2) has 125 vertices, not a multiple of 8; plain(12,2,2) has a
+# base grid of 144 cells, wider than two 64-bit words.
+MERGE_SPECS = [
+    (StructureSpec.plain(6, 2, 2), 0.18),
+    (StructureSpec.plain(4, 3, 3), 0.25),
+    (StructureSpec.slab(5, 2, 1, 3, 2), 0.12),
+    (StructureSpec.star(5, 2, 1, 2), 0.1),
+    (StructureSpec.plain(5, 3, 2), 0.06),
+    (StructureSpec.plain(12, 2, 2), 0.06),
+]
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+@pytest.mark.parametrize("spec,p", MERGE_SPECS, ids=str)
+def test_main_algorithm_equals_reference(spec, p, exhaustive):
+    rng = np.random.default_rng([11, spec.n, spec.d, spec.ell, spec.r])
+    for _ in range(8):
+        a = random_cells(spec, rng, rng.uniform(0.5 * p, 1.5 * p))
+        got = span_main_algorithm(spec, a, exhaustive=exhaustive)
+        assert (got.rectangles, got.creation_log) == reference_span_main_algorithm(
+            spec, a, exhaustive)
+
+
+def test_main_algorithm_equals_reference_on_a_full_closure():
+    spec = StructureSpec.plain(20, 2, 2)
+    rng = np.random.default_rng(8)
+    while True:
+        a = CellSet.from_mask((rng.permutation(spec.num_vertices) < 40).reshape(spec.shape))
+        if len(closure(spec, a)) == spec.num_vertices:
+            break
+    got = span_main_algorithm(spec, a)
+    assert got.rectangles == (Rectangle((1, 1), (20, 20)),)
+    assert (got.rectangles, got.creation_log) == reference_span_main_algorithm(spec, a)
 
 
 # --- the span against its definition -------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bootperc.analytic import QuadratureSettings, beta, l_exact, q_of_p
 from bootperc.dynamics import (
     CrossDirection,
     closure,
@@ -369,6 +370,52 @@ def test_each_reader_refuses_its_malformed_input(call):
     with pytest.raises(DomainError):
         call()
 
+
+
+# Each message quotes a refused integer of more than 4300 digits, which
+# str() refuses to print: each used to raise a bare ValueError instead.
+# 10**5000 has 16610 bits.
+HUGE = 10 ** 5000
+HUGE_NUMBERS = {
+    "density": lambda: estimate_event_prob(EventSpec("percolates", INT_STAR), HUGE, 5, 1),
+    "trial-index": lambda: trial_rng(5, -HUGE),
+    "task-index": lambda: derive_seed(5, HUGE),
+    "cell": lambda: CellSet((4, 4), [(HUGE, 1)]),
+    "cell-arity": lambda: CellSet((4, 4), [(HUGE,)]),
+    "grid-side": lambda: CellSet((-HUGE, 4)),
+    "rectangle-corners": lambda: Rectangle((HUGE, 1), (1, 2)),
+    "event-rectangle": lambda: EventSpec("spans", StructureSpec.plain(4, 2, 2),
+                                         Rectangle((1, 1), (HUGE, 2))),
+    "semi-crossing-axis": lambda: EventSpec("semi_crossed", INT_STAR, Rectangle((1, 1), (4, 4)),
+                                            axis=HUGE),
+    "crossing-axis": lambda: EventSpec("crossed", StructureSpec.slab(4, 2, 1, 3, 2),
+                                       Rectangle((1, 1), (4, 4)), CrossDirection(HUGE)),
+    "double-gap-axis": lambda: has_double_gap((4, 4), [], [HUGE]),
+    "beta": lambda: beta(2, HUGE),
+    "q-of-p": lambda: q_of_p(HUGE),
+    "l-exact": lambda: l_exact(1, 3, HUGE),
+    "abs-tol": lambda: QuadratureSettings(-HUGE),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_NUMBERS.values(), ids=HUGE_NUMBERS.keys())
+def test_message_quotes_a_huge_number(call):
+    with pytest.raises(DomainError) as info:
+        call()
+    message = str(info.value)
+    assert "\n" not in message and "<integer of 16610 bits>" in message
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: span_main_algorithm(StructureSpec.plain(4, 2, 2), CellSet((4, 4)), exhaustive=x),
+    lambda x: CrossDirection(1, x),
+], ids=["exhaustive", "crossing-reverse"])
+def test_flags_follow_the_flag_rule(call):
+    for bad in ("no", None, 2, 0.0):
+        with pytest.raises(DomainError, match="must be true or false"):
+            call(bad)
+    for good in (True, False, np.bool_(True)):
+        call(good)
 
 def test_axis_budget_is_the_labelling_budget():
     # label_rows labels a block with 3**(d + ell + 1) cells: 12 axes fit in
