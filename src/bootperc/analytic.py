@@ -49,6 +49,8 @@ def beta(k: int, u: float) -> float:
     Computed from the root formula (b + sqrt(b^2 + 4c)) / 2, which is
     cancellation-safe near u = 0.
     """
+    if type(k) is not int:
+        k = check_number(k, "k", numbers.Integral)
     if k < 1:
         raise DomainError("k must be >= 1")
     if not 0.0 <= u <= 1.0:

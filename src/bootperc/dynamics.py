@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .structures import (
+    NEVER,
     STAR,
     SLAB,
     CellSet,
@@ -39,7 +39,7 @@ from .structures import (
     check_number,
     check_rectangle,
     check_shape,
-    column_thresholds,
+    check_sides,
     grid_tables,
     label_rows,
     shown,
@@ -86,12 +86,6 @@ BOTTOM_TO_TOP = CrossDirection(2, False)
 TOP_TO_BOTTOM = CrossDirection(2, True)
 
 
-# A threshold that no neighbour count reaches: a vertex of a structure has
-# at most 2 * MAX_AXES = 24 neighbours, and a vertex of a closure_uniform box
-# at most 2 * 63, since a block adds one axis to numpy's limit of 64.  Counts
-# and thresholds are uint8.
-_NEVER = 255
-
 # Blocks of fewer vertices add each round's counts by a bincount of the
 # frontier's neighbours: there np.unique's fixed cost per call is more than a
 # bincount over the block.
@@ -102,17 +96,6 @@ _DENSE_SHARE = 8
 # Shifted sums slice the block along an axis when the slices are made of
 # runs of at least this many cells, and shift whole rows otherwise.
 _MIN_RUN = 16
-
-
-def _thresholds(values) -> np.ndarray:
-    """Per-vertex thresholds as the engine's uint8 array, capped at _NEVER."""
-    return np.minimum(values, _NEVER).astype(np.uint8)
-
-
-@lru_cache(maxsize=64)
-def _spec_thresholds(spec: StructureSpec) -> np.ndarray:
-    """``threshold_table(spec)`` in the engine's form."""
-    return _thresholds(threshold_table(spec))
 
 
 def _add_neighbours(counts: np.ndarray, mask: np.ndarray, nbrs: np.ndarray) -> None:
@@ -144,7 +127,7 @@ def _close(thresholds: np.ndarray, infected: np.ndarray) -> np.ndarray:
     ``infected`` of shape ``(B, *shape)`` in place and returns it.
 
     ``thresholds`` is a ``(V,)`` uint8 array for one grid of ``shape``,
-    shared by every row; a cell with threshold ``_NEVER`` never joins, so it
+    shared by every row; a cell with threshold ``NEVER`` never joins, so it
     never counts either.  Each round adds the frontier's contribution to the
     infected-neighbour counts, the initial cells being the first frontier,
     and then tests only the cells it touched.  The neighbours come from the
@@ -205,6 +188,7 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
         raise DomainError("uniform threshold must be >= 1")
     if min(box.lo) < 1:
         raise DomainError("box coordinates must be >= 1")
+    check_sides(box.hi)
     if not isinstance(cells, CellSet):
         arity = len(box.hi)
         cells = CellSet(box.hi, [c for c in cells if box.contains(check_arity(c, arity))])
@@ -214,7 +198,7 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     infected = np.zeros((1,) + dims, dtype=bool)
     window = cells.mask[box.slices]
     infected[(0,) + tuple(map(slice, window.shape))] = window
-    _close(np.full(prod(dims), min(t, _NEVER), dtype=np.uint8), infected)
+    _close(np.full(prod(dims), min(t, NEVER), dtype=np.uint8), infected)
     out = CellSet(box.hi)
     out.mask[box.slices] = infected[0]
     return out
@@ -226,7 +210,7 @@ def closure_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
     ``masks`` is not changed.
     """
     check_shape(spec, masks.shape[1:])
-    return _close(_spec_thresholds(spec), np.array(masks, dtype=bool, order="C"))
+    return _close(threshold_table(spec), np.array(masks, dtype=bool, order="C"))
 
 
 def closure(spec: StructureSpec, cells: CellSet) -> CellSet:
@@ -290,8 +274,9 @@ def _local_closure(spec: StructureSpec, infected: np.ndarray, region=True) -> np
     and full thickness, in place.  Only cells of ``region`` (a bool mask of
     one grid, default all) join: cells outside must start uninfected.
     """
-    thresholds = np.tile(column_thresholds(spec), prod(infected.shape[1:spec.d + 1]))
-    return _close(_thresholds(np.where(np.ravel(region), thresholds, _NEVER)), infected)
+    thresholds = np.tile(threshold_table(spec)[:spec.k ** spec.ell],
+                         prod(infected.shape[1:spec.d + 1]))
+    return _close(np.where(np.ravel(region), thresholds, NEVER), infected)
 
 
 def crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
@@ -336,7 +321,7 @@ def semi_crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
 
     The local grid is R plus one layer on each side along the axis, whose
     base layers are R_t^- and R_t^+.  A fringe outside [n]^d stays outside
-    the region (threshold ``_NEVER``), so it is never infected.
+    the region (threshold ``NEVER``), so it is never infected.
     """
     check_shape(spec, masks.shape[1:])
     ax = check_semi_crossing(spec, rect, axis) - 1

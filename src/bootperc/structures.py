@@ -3,12 +3,13 @@
 Each rule on inputs is written once here: ``check_number`` for numbers (a
 bool, NaN or string is refused) and the only cast of an integer input (a
 float is refused too), ``check_flag`` for a flag, ``check_sides`` for a grid
-shape, ``check_coord`` for coordinates (with ``check_arity`` its part short of
-bounds), ``check_shape`` for a cell set's membership in a grid and
-``check_rectangle`` for a rectangle of a structure; ``shown`` quotes a refused
-number in a message.  Each type refuses its own malformed input with a
-DomainError: ``CellSet`` a cell list that is not iterable,
-``Rectangle.from_json`` anything but a ``[lo, hi]`` pair, and
+shape (integer sides >= 0 within the structure budget: at most ``MAX_AXES``
+axes and ``MAX_VERTICES`` cells), ``check_coord`` for coordinates (with
+``check_arity`` its part short of bounds), ``check_shape`` for a cell set's
+membership in a grid and ``check_rectangle`` for a rectangle of a structure;
+``shown`` quotes a refused number in a message.  Each type refuses its own
+malformed input with a DomainError: ``CellSet`` a cell list that is not
+iterable, ``Rectangle.from_json`` anything but a ``[lo, hi]`` pair, and
 ``StructureSpec`` a structure of more than ``MAX_VERTICES`` vertices or
 ``MAX_AXES`` axes.
 
@@ -50,6 +51,10 @@ MAX_VERTICES = 1 << 22
 # rows with a structuring element of 3**(d + ell + 1) cells, held to the same
 # budget (12 axes).
 MAX_AXES = next(a for a in range(64) if 3 ** (a + 2) > MAX_VERTICES)
+# A threshold that no neighbour count reaches: a grid has at most MAX_AXES
+# axes, so a cell has at most 2 * MAX_AXES = 24 neighbours.  Counts and
+# thresholds are uint8.
+NEVER = 255
 
 
 class DomainError(ValueError):
@@ -88,14 +93,19 @@ def shown(value) -> str:
 
 
 def check_sides(sides: Sequence[int]) -> tuple[int, ...]:
-    """The rule for a grid shape: a sequence of integer sides, each >= 0.
-    Returns it as a tuple of ints."""
+    """The rule for a grid shape: a sequence of integer sides, each >= 0,
+    within the structure budget: at most MAX_AXES axes and MAX_VERTICES
+    cells, a zero side counting as 1.  Returns it as a tuple of ints."""
     try:
         sides = tuple(check_number(side, "grid side", numbers.Integral) for side in sides)
     except TypeError as exc:
         raise DomainError(f"grid shape {sides!r} is not a sequence of sides") from exc
     if min(sides, default=0) < 0:
         raise DomainError(f"grid shape {shown(sides)} has a negative side")
+    if len(sides) > MAX_AXES:
+        raise DomainError(f"grid shape {shown(sides)} has more than {MAX_AXES} axes")
+    if prod(max(side, 1) for side in sides) > MAX_VERTICES:
+        raise DomainError(f"grid shape {shown(sides)} has more than {MAX_VERTICES} cells")
     return sides
 
 
@@ -433,23 +443,21 @@ def label_boxes(labels: np.ndarray) -> list[tuple[slice, ...]]:
 def grid_tables(shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
     """Flat neighbor table for a grid of the given shape.
 
-    Returns (nbrs, V) where nbrs is a (V, 2*ndim) int array of flat neighbor
-    indices, padded with -1, rows in canonical order.
+    Returns (nbrs, V) where nbrs is a read-only (V, 2*ndim) int array of flat
+    neighbor indices, rows in canonical order: column 2*axis holds the
+    neighbor one step down along axis and column 2*axis + 1 the one up, -1
+    where there is none.  Built from shifted slices of the flat indices.
     """
-    ndim = len(shape)
     size = prod(shape)
-    flat = np.arange(size)
-    coords = np.array(np.unravel_index(flat, shape))  # (ndim, V), 0-based
-    nbrs = np.full((size, 2 * ndim), -1, dtype=np.int64)
-    col = 0
-    for axis in range(ndim):
-        for delta in (-1, 1):
-            shifted = coords.copy()
-            shifted[axis] += delta
-            ok = (shifted[axis] >= 0) & (shifted[axis] < shape[axis])
-            idx = np.ravel_multi_index(shifted[:, ok], shape)
-            nbrs[ok, col] = idx
-            col += 1
+    index = np.arange(size).reshape(shape)
+    nbrs = np.full(shape + (2 * len(shape),), -1, dtype=np.int64)
+    for axis in range(len(shape)):
+        low = (slice(None),) * axis + (slice(None, -1),)
+        high = (slice(None),) * axis + (slice(1, None),)
+        nbrs[high + (..., 2 * axis)] = index[low]
+        nbrs[low + (..., 2 * axis + 1)] = index[high]
+    nbrs = nbrs.reshape(size, 2 * len(shape))
+    nbrs.flags.writeable = False
     return nbrs, size
 
 
@@ -474,5 +482,9 @@ def column_thresholds(spec: StructureSpec) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def threshold_table(spec: StructureSpec) -> np.ndarray:
-    """Per-vertex thresholds of spec as a flat int array in canonical order."""
-    return np.tile(column_thresholds(spec), spec.n ** spec.d)
+    """Per-vertex thresholds of spec as the closure engine's flat read-only
+    uint8 array in canonical order, capped at NEVER."""
+    column = np.minimum(column_thresholds(spec), NEVER).astype(np.uint8)
+    table = np.tile(column, spec.n ** spec.d)
+    table.flags.writeable = False
+    return table

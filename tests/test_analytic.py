@@ -228,9 +228,14 @@ def test_lambda_domain():
     lambda: estimate_lgap(1, 2.5, 0.5, 10, 1),
     lambda: estimate_lgap(False, 2, 0.5, 10, 1),
     lambda: estimate_lgap("1", 2, 0.5, 10, 1),
+    lambda: beta(2.5, 0.3),
+    lambda: beta(True, 0.3),
+    lambda: beta("2", 0.3),
+    lambda: g(2.5, 0.7),
 ], ids=["lambda-d-float", "lambda-r-float", "lambda-d-bool", "table-float", "table-string",
         "l_exact-ell-float", "l_exact-m-bool", "l_exact-m-float", "lgap-m-float",
-        "lgap-ell-bool", "lgap-ell-string"])
+        "lgap-ell-bool", "lgap-ell-string", "beta-k-float", "beta-k-bool", "beta-k-string",
+        "g-k-float"])
 def test_integer_parameters_refuse_other_numbers(call):
     with pytest.raises(DomainError, match="must be an integer"):
         call()

@@ -1,3 +1,5 @@
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +8,7 @@ from bootperc.analytic import QuadratureSettings, beta, l_exact, q_of_p
 from bootperc.dynamics import (
     CrossDirection,
     closure,
+    closure_uniform,
     has_double_gap,
     is_crossed,
     is_semi_crossed,
@@ -32,6 +35,7 @@ from bootperc.span import (
 from bootperc.structures import (
     MAX_AXES,
     MAX_VERTICES,
+    NEVER,
     CellSet,
     DomainError,
     Rectangle,
@@ -108,8 +112,16 @@ def test_threshold_table_matches_pointwise():
                  StructureSpec.star(3, 2, 2, 2),
                  StructureSpec.slab(3, 2, 1, 4, 2)):
         table = threshold_table(spec)
+        assert table.dtype == np.uint8 and not table.flags.writeable
         flat = [threshold(spec, v) for v in CellSet.full(spec.shape)]
         assert list(table) == flat
+    # The engine's table caps a threshold at NEVER, which no neighbour count
+    # reaches; 258 would wrap to 2 in uint8 without the cap.
+    for r in (258, 300):
+        spec = StructureSpec.plain(3, 2, r)
+        assert (threshold_table(spec) == NEVER).all() and threshold(spec, (1, 1)) == r
+        diagonal = CellSet(spec.shape, [(1, 1), (2, 2), (3, 3)])
+        assert closure(spec, diagonal) == diagonal
 
 
 def test_neighbors_interior_and_corner():
@@ -185,15 +197,22 @@ def test_diameter():
     assert diameter((4, 4), cs) == 3
 
 
-def test_grid_tables_neighbor_consistency():
-    spec = StructureSpec.slab(3, 2, 1, 2, 2)
-    nbrs, size = grid_tables(spec.shape)
-    assert size == spec.num_vertices
-    for flat, v in enumerate(CellSet.full(spec.shape)):
-        expected = {np.ravel_multi_index(tuple(x - 1 for x in w), spec.shape)
-                    for w in neighbors(spec, v)}
-        got = {int(x) for x in nbrs[flat] if x >= 0}
-        assert got == expected
+@pytest.mark.parametrize("shape", [(5, 5, 3), (3, 1, 4), (1,), (0, 3), (2,) * 12], ids=str)
+def test_grid_tables_neighbor_consistency(shape):
+    # Column 2 * axis is the neighbour one step down along axis and column
+    # 2 * axis + 1 the one up, as _add_neighbours reads them; -1 off the grid.
+    nbrs, size = grid_tables(shape)
+    assert size == prod(shape) and nbrs.shape == (size, 2 * len(shape))
+    assert not nbrs.flags.writeable
+    coords = np.indices(shape).reshape(len(shape), size)
+    for axis, side in enumerate(shape):
+        for column, delta in ((2 * axis, -1), (2 * axis + 1, 1)):
+            moved = coords.copy()
+            moved[axis] += delta
+            inside = (moved[axis] >= 0) & (moved[axis] < side)
+            want = np.full(size, -1)
+            want[inside] = np.ravel_multi_index(moved[:, inside], shape)
+            assert np.array_equal(nbrs[:, column], want)
 
 
 def test_structure_json_roundtrip():
@@ -416,6 +435,35 @@ def test_flags_follow_the_flag_rule(call):
             call(bad)
     for good in (True, False, np.bool_(True)):
         call(good)
+
+
+# Each grid past the structure budget used to be allocated, or to fail
+# inside np.zeros with a bare ValueError past numpy's limit on a dimension
+# or on the axes (64).
+OVER_BUDGET = {
+    "cellset-one-axis-over": lambda: CellSet((1,) * (MAX_AXES + 1)),
+    "cellset-one-cell-over": lambda: CellSet((MAX_VERTICES + 1,)),
+    "cellset-side": lambda: CellSet((2 ** 70,)),
+    "full-side": lambda: CellSet.full((2 ** 70,)),
+    "cellset-zero-side": lambda: CellSet((0, 2 ** 70)),
+    "cellset-axes": lambda: CellSet((1,) * 65),
+    "sample-bin-axes": lambda: sample_bin((1,) * 65, 0.5, trial_rng(1, 0)),
+    "uniform-box-side": lambda: closure_uniform(Rectangle((1,), (2 ** 70,)), CellSet((5,)), 2),
+    "uniform-box-axes": lambda: closure_uniform(Rectangle((1,) * 64, (1,) * 64), [], 1),
+}
+
+
+@pytest.mark.parametrize("call", OVER_BUDGET.values(), ids=OVER_BUDGET.keys())
+def test_grid_shape_is_held_to_the_structure_budget(call):
+    with pytest.raises(DomainError, match="has more than") as info:
+        call()
+    assert "\n" not in str(info.value)
+
+
+def test_grid_shape_budget_admits_the_largest_structure():
+    for shape in ((1,) * MAX_AXES, (MAX_VERTICES,), (0, MAX_VERTICES), (2048, 2048)):
+        assert CellSet(shape).shape == shape
+
 
 def test_axis_budget_is_the_labelling_budget():
     # label_rows labels a block with 3**(d + ell + 1) cells: 12 axes fit in
