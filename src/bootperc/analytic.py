@@ -4,6 +4,9 @@ constant integral.
 ``beta(k, u)`` is the positive root of x^2 = b x + c with
 b = 1 - (1-u)^k and c = u (1-u)^k; ``g(k, z) = -log(beta(k, 1 - e^-z))``;
 ``lambda_constant(d, r)`` integrates g(r-1, z^(d-r+1)) over (0, inf).
+
+Probabilities go through ``structures.check_probability``.  ``g``, the
+quadrature's integrand, checks z but not its u = 1 - e^-z, which is in [0, 1].
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import DomainError, check_number, shown
+from .structures import DomainError, check_number, check_probability, shown
 
 
 class ConvergenceError(ArithmeticError):
@@ -43,30 +46,35 @@ class QuadratureSettings:
 DEFAULT_SETTINGS = QuadratureSettings()
 
 
-def beta(k: int, u: float) -> float:
-    """Growth-probability root: the positive root of x^2 = b x + c.
-
-    Computed from the root formula (b + sqrt(b^2 + 4c)) / 2, which is
-    cancellation-safe near u = 0.
-    """
+def _root(k: int, u: float) -> float:
+    """``beta`` with k held to the integer rule but u unchecked: ``g``'s path."""
     if type(k) is not int:
         k = check_number(k, "k", numbers.Integral)
     if k < 1:
         raise DomainError("k must be >= 1")
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"u = {shown(u)} outside [0, 1]")
     w = (1.0 - u) ** k
     b = 1.0 - w
     c = u * w
     return 0.5 * (b + math.sqrt(b * b + 4.0 * c))
 
 
+def beta(k: int, u: float) -> float:
+    """Growth-probability root: the positive root of x^2 = b x + c.
+
+    Computed from the root formula (b + sqrt(b^2 + 4c)) / 2, which is
+    cancellation-safe near u = 0.
+    """
+    return _root(k, check_probability(u, "u"))
+
+
 def g(k: int, z: float) -> float:
     """-log(beta(k, 1 - e^-z)) for z > 0."""
+    if type(z) is not float:
+        z = check_number(z, "z")
     if not z > 0.0:
         raise DomainError("g is defined for z > 0 only")
     u = -math.expm1(-z)  # 1 - e^-z without cancellation
-    root = beta(k, u)
+    root = _root(k, u)
     if root >= 0.5:
         # Rationalized form: with w = (1-u)^k = e^-kz and
         # s = sqrt((1-w)^2 + 4uw), algebra on the root formula gives
@@ -80,9 +88,9 @@ def g(k: int, z: float) -> float:
 
 
 def q_of_p(p: float) -> float:
-    """q = -log(1 - p), the natural growth parameter."""
-    if not 0.0 <= p < 1.0:
-        raise DomainError(f"p = {shown(p)} outside [0, 1)")
+    """q = -log(1 - p), the natural growth parameter, for p in [0, 1)."""
+    if check_probability(p, "p") == 1.0:
+        raise DomainError("q = -log(1 - p) is infinite at p = 1")
     return -math.log1p(-p)
 
 
@@ -103,8 +111,7 @@ def l_exact(ell: int, m: int, u: float) -> float:
         raise DomainError("ell must be >= 0")
     if m < -1:
         raise DomainError("m must be >= -1")
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"u = {shown(u)} outside [0, 1]")
+    u = check_probability(u, "u")
     if m <= 0:
         return 1.0
     w = (1.0 - u) ** (ell + 1)

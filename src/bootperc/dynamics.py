@@ -186,7 +186,7 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     check_number(t, "t", numbers.Integral)
     if t < 1:
         raise DomainError("uniform threshold must be >= 1")
-    if min(box.lo) < 1:
+    if min(box.lo, default=1) < 1:
         raise DomainError("box coordinates must be >= 1")
     check_sides(box.hi)
     if not isinstance(cells, CellSet):

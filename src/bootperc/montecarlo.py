@@ -32,6 +32,7 @@ from .structures import (
     Rectangle,
     StructureSpec,
     check_number,
+    check_probability,
     check_rectangle,
     check_sides,
     shown,
@@ -183,17 +184,13 @@ def _check_trials(trials: int) -> None:
         raise DomainError("trials must be >= 1")
 
 
-def _check_density(p: float, name: str = "p") -> float:
-    """The rule for a density: a number in [0, 1].  Returns it as a float."""
-    check_number(p, name)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"{name} = {shown(p)} outside [0, 1]")
-    return float(p)
-
-
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The Wilson 95% interval of ``successes``, an integer in [0, trials], out of ``trials``."""
     _check_trials(trials)
-    phat = successes / trials
+    check_number(successes, "successes", numbers.Integral)
+    if not 0 <= successes <= trials:
+        raise DomainError(f"successes = {shown(successes)} outside [0, {shown(trials)}]")
+    z, phat = _Z95, successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
@@ -229,7 +226,7 @@ def sample_bin(region, p: float, rng: np.random.Generator) -> CellSet:
     """Bin(region, p): include each vertex independently with probability p,
     one uniform per vertex in canonical order.
     """
-    _check_density(p)
+    check_probability(p, "p")
     shape = region.shape if isinstance(region, (StructureSpec, CellSet)) else check_sides(region)
     return CellSet.from_mask(rng.random(shape) < p)
 
@@ -249,7 +246,7 @@ def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
     Philox bit generator is re-keyed to (master_seed, t) with a zero
     counter for each trial, and its raw words go through ``_hits``.
     """
-    _check_density(p)
+    check_probability(p, "p")
     size = spec.num_vertices
     step = max(1, BLOCK_VERTICES // size)
     bits = np.random.Philox(key=0)
@@ -332,7 +329,7 @@ def estimate_lgap(ell: int, m: int, u: float, trials: int, master_seed: int) -> 
     check_number(m, "m", numbers.Integral)
     if ell < 0 or m < 0:
         raise DomainError("ell and m must be >= 0")
-    _check_density(u, "u")
+    check_probability(u, "u")
     _check_trials(trials)
     width = (m + 1) + ell * m
     if width > MAX_VERTICES:
@@ -357,7 +354,7 @@ class SweepPoint:
 
     def __post_init__(self) -> None:
         _check_event_structure(self.event, self.structure)
-        object.__setattr__(self, "p", _check_density(self.p))
+        object.__setattr__(self, "p", check_probability(self.p, "p"))
         _check_trials(self.trials)
 
 

@@ -13,7 +13,6 @@ from .structures import (
     DomainError,
     Rectangle,
     StructureSpec,
-    check_flag,
     check_number,
     check_shape,
     grid_tables,
@@ -89,8 +88,7 @@ class _Piece:
         self.rect = _rectangle(label_boxes(proj[None].view(np.int8))[0])
 
 
-def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
-                        exhaustive: bool = False) -> SpanResult:
+def span_main_algorithm(spec: StructureSpec, cells: CellSet) -> SpanResult:
     """Compute <A> by merging pieces.
 
     Starts from singletons and repeatedly (a) merges two pieces whose
@@ -99,10 +97,12 @@ def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
     closures.  The output rectangles equal span_direct's; the creation log
     records every piece rectangle ever formed.
 
-    ``exhaustive=True`` disables the interaction-proximity pruning in (b).
+    Step (b) tries only subsets in which two pieces' ``reach`` meet, and
+    loses nothing by it: each piece's closure is closed, so the first cell
+    that a joint closure adds beyond their union has neighbours in two
+    pieces' closures, and lies in both pieces' ``reach``.
     """
     check_shape(spec, cells.shape)
-    exhaustive = check_flag(exhaustive, "exhaustive")
     # Singletons in canonical (flat) order.
     flat_ids = np.arange(cells.mask.size).reshape(cells.shape)
     pieces = [_Piece(spec, flat_ids == v) for v in np.flatnonzero(cells.mask)]
@@ -130,7 +130,7 @@ def span_main_algorithm(spec: StructureSpec, cells: CellSet, *,
             max_t = min(spec.r + spec.ell, len(pieces))
             for t in range(2, max_t + 1):
                 for subset in itertools.combinations(range(len(pieces)), t):
-                    if not exhaustive and not any(
+                    if not any(
                         pieces[i].reach & pieces[j].reach
                         for i, j in itertools.combinations(subset, 2)
                     ):

@@ -2,7 +2,8 @@
 
 Each rule on inputs is written once here: ``check_number`` for numbers (a
 bool, NaN or string is refused) and the only cast of an integer input (a
-float is refused too), ``check_flag`` for a flag, ``check_sides`` for a grid
+float is refused too), ``check_probability`` for a probability (a number in
+[0, 1]), ``check_flag`` for a flag, ``check_sides`` for a grid
 shape (integer sides >= 0 within the structure budget: at most ``MAX_AXES``
 axes and ``MAX_VERTICES`` cells), ``check_coord`` for coordinates (with
 ``check_arity`` its part short of bounds), ``check_shape`` for a cell set's
@@ -70,6 +71,14 @@ def check_number(value, name: str, kind=numbers.Real):
         noun = "an integer" if kind is numbers.Integral else "a number"
         raise DomainError(f"{name} must be {noun}, not {value!r}")
     return operator.index(value) if kind is numbers.Integral else value
+
+
+def check_probability(value, name: str) -> float:
+    """The probability rule: a number (``check_number``) in [0, 1].  Returns it as a float."""
+    check_number(value, name)
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} = {shown(value)} outside [0, 1]")
+    return float(value)
 
 
 def check_flag(value, name: str) -> bool:

@@ -16,7 +16,7 @@ from bootperc.analytic import (
     lambda_table,
     q_of_p,
 )
-from bootperc.montecarlo import estimate_lgap
+from bootperc.montecarlo import estimate_lgap, wilson_interval
 from bootperc.structures import DomainError
 
 
@@ -232,10 +232,11 @@ def test_lambda_domain():
     lambda: beta(True, 0.3),
     lambda: beta("2", 0.3),
     lambda: g(2.5, 0.7),
+    lambda: wilson_interval(True, 5),
 ], ids=["lambda-d-float", "lambda-r-float", "lambda-d-bool", "table-float", "table-string",
         "l_exact-ell-float", "l_exact-m-bool", "l_exact-m-float", "lgap-m-float",
         "lgap-ell-bool", "lgap-ell-string", "beta-k-float", "beta-k-bool", "beta-k-string",
-        "g-k-float"])
+        "g-k-float", "wilson-successes-bool"])
 def test_integer_parameters_refuse_other_numbers(call):
     with pytest.raises(DomainError, match="must be an integer"):
         call()

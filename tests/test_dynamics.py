@@ -119,6 +119,10 @@ def test_closure_uniform_against_plain():
         closure_uniform(box, cells, 0)
     with pytest.raises(DomainError):
         closure_uniform(Rectangle((0, 1), (3, 3)), cells, 2)
+    # A box of no axes is the grid of one vertex, as for CellSet(()).
+    for t in (1, 2):
+        assert closure_uniform(Rectangle((), ()), [], t) == CellSet(())
+        assert closure_uniform(Rectangle((), ()), [()], t) == CellSet((), [()])
 
 
 def test_closure_uniform_refuses_non_integer_cells():

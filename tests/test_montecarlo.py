@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bootperc.structures import CellSet, DomainError, Rectangle, StructureSpec
-from bootperc.analytic import QuadratureSettings, l_exact
+from bootperc.analytic import QuadratureSettings, beta, g, l_exact, q_of_p
 from bootperc.dynamics import (
     BOTTOM_TO_TOP,
     LEFT_TO_RIGHT,
@@ -405,11 +405,32 @@ def test_trial_index_lies_in_64_bits(route):
     lambda: estimate_p_alpha(StructureSpec.plain(3, 2, 2), "percolates", 0.5, 10, 1, "0.1"),
     lambda: estimate_p_alpha(StructureSpec.plain(3, 2, 2), "percolates", 0.5, 10, 1, True),
     lambda: QuadratureSettings(abs_tol=True),
-], ids=["alpha-string", "p_tol-string", "p_tol-boolean", "abs_tol-boolean"])
+    lambda: beta(2, True),
+    lambda: beta(2, "0.3"),
+    lambda: l_exact(1, 5, True),
+    lambda: g(2, True),
+    lambda: g(2, "1"),
+    lambda: q_of_p(False),
+    lambda: q_of_p("0.3"),
+], ids=["alpha-string", "p_tol-string", "p_tol-boolean", "abs_tol-boolean", "beta-u-boolean",
+        "beta-u-string", "l_exact-u-boolean", "g-z-boolean", "g-z-string", "q_of_p-boolean",
+        "q_of_p-string"])
 def test_tolerances_and_levels_follow_the_number_rule(make):
     # The strings raised a bare TypeError, and True ran as 1.0.
     with pytest.raises(DomainError, match="must be a number"):
         make()
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: q_of_p(1.0), "infinite at p = 1"),
+    (lambda: wilson_interval(7, 5), "outside"),
+    (lambda: wilson_interval(-1, 5), "outside"),
+], ids=["q_of_p-one", "wilson-above-trials", "wilson-negative"])
+def test_values_out_of_their_range_are_refused(make, message):
+    # The two Wilson intervals died with a bare "math domain error".
+    with pytest.raises(DomainError, match=message) as info:
+        make()
+    assert "\n" not in str(info.value)
 
 
 CLOSURE_SPECS = [

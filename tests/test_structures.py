@@ -426,9 +426,8 @@ def test_message_quotes_a_huge_number(call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda x: span_main_algorithm(StructureSpec.plain(4, 2, 2), CellSet((4, 4)), exhaustive=x),
     lambda x: CrossDirection(1, x),
-], ids=["exhaustive", "crossing-reverse"])
+], ids=["crossing-reverse"])
 def test_flags_follow_the_flag_rule(call):
     for bad in ("no", None, 2, 0.0):
         with pytest.raises(DomainError, match="must be true or false"):
