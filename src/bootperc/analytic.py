@@ -39,7 +39,8 @@ class QuadratureSettings:
     abs_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not 0 < check_number(self.abs_tol, "abs_tol") < math.inf:
+        # The upper bound also refuses an integer too large for a float.
+        if not 0 < check_number(self.abs_tol, "abs_tol") <= sys.float_info.max:
             raise DomainError(f"abs_tol must be positive and finite, not {shown(self.abs_tol)}")
 
 
@@ -52,7 +53,10 @@ def _root(k: int, u: float) -> float:
         k = check_number(k, "k", numbers.Integral)
     if k < 1:
         raise DomainError("k must be >= 1")
-    w = (1.0 - u) ** k
+    try:
+        w = (1.0 - u) ** k
+    except OverflowError:
+        raise DomainError(f"k = {shown(k)} is too large for a float") from None
     b = 1.0 - w
     c = u * w
     return 0.5 * (b + math.sqrt(b * b + 4.0 * c))
@@ -73,7 +77,10 @@ def g(k: int, z: float) -> float:
         z = check_number(z, "z")
     if not z > 0.0:
         raise DomainError("g is defined for z > 0 only")
-    u = -math.expm1(-z)  # 1 - e^-z without cancellation
+    try:
+        u = -math.expm1(-z)  # 1 - e^-z without cancellation
+    except OverflowError:
+        raise DomainError(f"z = {shown(z)} is too large for a float") from None
     root = _root(k, u)
     if root >= 0.5:
         # Rationalized form: with w = (1-u)^k = e^-kz and
@@ -114,7 +121,10 @@ def l_exact(ell: int, m: int, u: float) -> float:
     u = check_probability(u, "u")
     if m <= 0:
         return 1.0
-    w = (1.0 - u) ** (ell + 1)
+    try:
+        w = (1.0 - u) ** (ell + 1)
+    except OverflowError:
+        raise DomainError(f"ell = {shown(ell)} is too large for a float") from None
     power = np.linalg.matrix_power(np.array([[1.0 - w, u * w], [1.0, 0.0]]), m)
     return float(power[0].sum())
 

@@ -7,9 +7,10 @@ per-vertex counts of infected neighbours.  Every vertex enters the frontier
 at most once, and a round adds only the frontier's neighbours to the counts
 and tests only the cells they touch, so the cost is per touched cell.
 Blocks under 2**14 vertices, and rounds whose frontier is wide, take dense
-passes over the block instead: a bincount, or shifted sums of the
-frontier's mask.  The fixed point is independent of update order, so each
-row of a block is the closure of that row.
+passes over the block instead: a bincount, or sums of the frontier's flat
+mask shifted along each axis and kept where ``grid_tables`` has a
+neighbour.  The fixed point is independent of update order, so each row of
+a block is the closure of that row.
 
 Each event is one ``*_batch`` predicate over the rows of a block, of which the
 per-trial event is the form at B = 1.  The crossing events close each row on
@@ -35,6 +36,7 @@ from .structures import (
     Rectangle,
     StructureSpec,
     check_arity,
+    check_cells,
     check_flag,
     check_number,
     check_rectangle,
@@ -75,7 +77,7 @@ class CrossDirection:
     def from_name(name: str) -> "CrossDirection":
         try:
             axis, reverse = CrossDirection._NAMES[name]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable name is unknown too
             raise DomainError(f"unknown crossing direction {name!r}") from None
         return CrossDirection(axis, reverse)
 
@@ -93,33 +95,23 @@ _SPARSE_MIN_VERTICES = 1 << 14
 # On a larger block, a round whose frontier may touch more than
 # 1/_DENSE_SHARE of the block adds shifted sums of the frontier's mask.
 _DENSE_SHARE = 8
-# Shifted sums slice the block along an axis when the slices are made of
-# runs of at least this many cells, and shift whole rows otherwise.
-_MIN_RUN = 16
 
 
-def _add_neighbours(counts: np.ndarray, mask: np.ndarray, nbrs: np.ndarray) -> None:
-    """Adds to each cell of the uint8 block ``counts`` its number of
-    neighbours in the bool block ``mask``, both of shape ``(B, *shape)``,
-    by shifted sums along each axis of ``shape``."""
-    rows, shape = len(mask), mask.shape[1:]
-    size = prod(shape)
-    row_counts, row_mask = counts.reshape(rows, size), mask.reshape(rows, size)
-    step = size
+def _add_neighbours(counts: np.ndarray, mask: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Adds to each cell of the flat uint8 block ``counts`` its number of
+    neighbours in the flat bool block ``mask``, both rows of grids of
+    ``shape`` laid end to end.  Along each axis the mask is shifted by the
+    axis's flat step and kept at the cells that have a neighbour on that
+    side in ``grid_tables``, so no count crosses a face or a row."""
+    nbrs, size = grid_tables(shape)
+    rows, step = len(mask) // size, size
     for ax, length in enumerate(shape):
         step //= length  # the flat distance between neighbours along ax
-        if length == 1:
-            continue
-        if (length - 1) * step >= _MIN_RUN or size - step < _MIN_RUN:
-            low = (slice(None),) * (ax + 1) + (slice(None, -1),)
-            high = (slice(None),) * (ax + 1) + (slice(1, None),)
-            counts[high] += mask[low]
-            counts[low] += mask[high]
-        else:
-            # Short runs, as on a thickness axis: shift whole rows and keep
-            # the cells that have a neighbour on that side.
-            row_counts[:, step:] += row_mask[:, :-step] & (nbrs[step:, 2 * ax] >= 0)
-            row_counts[:, :-step] += row_mask[:, step:] & (nbrs[:-step, 2 * ax + 1] >= 0)
+        if length > 1:
+            down = np.tile(nbrs[:, 2 * ax] >= 0, rows)
+            up = np.tile(nbrs[:, 2 * ax + 1] >= 0, rows)
+            counts[step:] += mask[:-step] & down[step:]
+            counts[:-step] += mask[step:] & up[:-step]
 
 
 def _close(thresholds: np.ndarray, infected: np.ndarray) -> np.ndarray:
@@ -134,8 +126,8 @@ def _close(thresholds: np.ndarray, infected: np.ndarray) -> np.ndarray:
     cached ``grid_tables`` with a row offset of ``row * V``.  A small block
     adds them by a bincount; on a larger block, a narrow frontier adds them
     at the cells it touches with ``np.unique`` and a wide one adds shifted
-    sums of its mask.  So the cost is per touched cell, not per vertex and
-    round, except on small blocks.
+    sums of its flat mask (``_add_neighbours``).  So the cost is per touched
+    cell, not per vertex and round, except on small blocks.
     """
     rows, shape = len(infected), infected.shape[1:]
     nbrs, size = grid_tables(shape)
@@ -151,7 +143,7 @@ def _close(thresholds: np.ndarray, infected: np.ndarray) -> np.ndarray:
         if not small and frontier.size * nbrs.shape[1] * _DENSE_SHARE > flat.size:
             mask = np.zeros(flat.size, dtype=bool)
             mask[frontier] = True
-            _add_neighbours(counts.reshape(infected.shape), mask.reshape(infected.shape), nbrs)
+            _add_neighbours(counts, mask, shape)
             # Cells at their threshold and not yet infected: for bools,
             # a > b is a & ~b in one step.
             frontier = ((grid >= thresholds) > flat_grid).ravel().nonzero()[0]
@@ -191,7 +183,8 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     check_sides(box.hi)
     if not isinstance(cells, CellSet):
         arity = len(box.hi)
-        cells = CellSet(box.hi, [c for c in cells if box.contains(check_arity(c, arity))])
+        cells = CellSet(box.hi, [c for c in check_cells(cells)
+                                 if box.contains(check_arity(c, arity))])
     dims = box.dim
     if len(cells.shape) != len(dims):
         raise DomainError(f"cell set of shape {cells.shape} has wrong arity for the box")
@@ -360,8 +353,8 @@ def has_double_gap(dims: Sequence[int], cells, axes: Iterable[int] | None = None
         cells = CellSet(dims, cells)
     check_shape(dims, cells.shape)
     ndim = len(cells.shape)
-    for axis in range(1, ndim + 1) if axes is None else axes:
-        ax = check_number(axis, "axis", numbers.Integral) - 1
+    for axis in range(1, ndim + 1) if axes is None else check_arity(axes, name="axis list"):
+        ax = axis - 1
         if not 0 <= ax < ndim:
             raise DomainError(f"axis {shown(axis)} out of range for box {cells.shape}")
         occ = cells.mask.any(axis=tuple(i for i in range(ndim) if i != ax))

@@ -178,10 +178,11 @@ def _estimate(successes: int, trials: int, master_seed: int) -> Estimate:
 
 
 def _check_trials(trials: int) -> None:
-    """The rule for a trial count: an integer >= 1."""
+    """The rule for a trial count: an integer in [1, 2**64], the number of
+    trial indices ``trial_rng`` takes."""
     check_number(trials, "trials", numbers.Integral)
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    if not 1 <= trials <= 2 ** 64:
+        raise DomainError(f"trials must be in [1, 2**64], not {shown(trials)}")
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

@@ -6,13 +6,14 @@ float is refused too), ``check_probability`` for a probability (a number in
 [0, 1]), ``check_flag`` for a flag, ``check_sides`` for a grid
 shape (integer sides >= 0 within the structure budget: at most ``MAX_AXES``
 axes and ``MAX_VERTICES`` cells), ``check_coord`` for coordinates (with
-``check_arity`` its part short of bounds), ``check_shape`` for a cell set's
+``check_arity`` its part short of bounds, also the rule for a list of
+axes), ``check_cells`` for a cell list, ``check_shape`` for a cell set's
 membership in a grid and ``check_rectangle`` for a rectangle of a structure;
 ``shown`` quotes a refused number in a message.  Each type refuses its own
 malformed input with a DomainError: ``CellSet`` a cell list that is not
-iterable, ``Rectangle.from_json`` anything but a ``[lo, hi]`` pair, and
-``StructureSpec`` a structure of more than ``MAX_VERTICES`` vertices or
-``MAX_AXES`` axes.
+iterable (``check_cells``), ``Rectangle.from_json`` anything but a
+``[lo, hi]`` pair, and ``StructureSpec`` a structure of more than
+``MAX_VERTICES`` vertices or ``MAX_AXES`` axes.
 
 The lattice is [n]^d x [k]^ell with 1-based coordinates.  The first d axes
 are "horizontal", the trailing ell axes are "thickness".  Three families are
@@ -118,16 +119,24 @@ def check_sides(sides: Sequence[int]) -> tuple[int, ...]:
     return sides
 
 
-def check_arity(v: Sequence[int], arity: int | None = None) -> Coord:
+def check_arity(v: Sequence[int], arity: int | None = None, name: str = "coordinate") -> Coord:
     """The coordinate rule short of bounds: ``v`` is a sequence of integers,
     ``arity`` of them unless that is None.  Returns it as a tuple of ints."""
     try:
-        v = tuple(check_number(x, "coordinate entry", numbers.Integral) for x in v)
+        v = tuple(check_number(x, f"{name} entry", numbers.Integral) for x in v)
     except TypeError as exc:
-        raise DomainError(f"coordinate {v!r} is not a sequence of integers") from exc
+        raise DomainError(f"{name} {v!r} is not a sequence of integers") from exc
     if arity is not None and len(v) != arity:
-        raise DomainError(f"coordinate {shown(v)} has arity {len(v)}, not {arity}")
+        raise DomainError(f"{name} {shown(v)} has arity {len(v)}, not {arity}")
     return v
+
+
+def check_cells(cells: Iterable[Sequence[int]]) -> Iterator:
+    """The cell-list rule: ``cells`` can be iterated.  Returns an iterator over it."""
+    try:
+        return iter(cells)
+    except TypeError as exc:
+        raise DomainError(f"cell list {cells!r} is not a sequence of cells") from exc
 
 
 def check_coord(shape: tuple[int, ...], v: Sequence[int]) -> Coord:
@@ -242,11 +251,7 @@ class CellSet:
     def __init__(self, shape: Sequence[int], cells: Iterable[Sequence[int]] = ()):
         self.shape = check_sides(shape)
         self.mask = np.zeros(self.shape, dtype=bool)
-        try:
-            cells = iter(cells)
-        except TypeError as exc:
-            raise DomainError(f"cell list {cells!r} is not a sequence of cells") from exc
-        for c in cells:
+        for c in check_cells(cells):
             self.add(c)
 
     @classmethod
@@ -374,7 +379,7 @@ def check_rectangle(spec: StructureSpec, rect: Rectangle) -> None:
 
 
 def bounding_rectangle(cells: Iterable[Sequence[int]]) -> Rectangle:
-    pts = [tuple(c) for c in cells]
+    pts = [check_arity(c) for c in check_cells(cells)]
     if not pts:
         raise DomainError("bounding rectangle of the empty set is undefined")
     pts = [check_arity(c, len(pts[0])) for c in pts]

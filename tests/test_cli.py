@@ -347,10 +347,14 @@ def test_structure_over_axis_budget_is_config_error(capsys, tmp_path, command, d
      "--trials", "0", "--seed", "1", "--ptol", "2"],
     ["estimate", "--event", "long-span", "--structure", "S", "--long-threshold", "nan",
      "--p", "0.3", "--trials", "5", "--seed", "1"],
-], ids=["lgap-trial-over-budget", "threshold-no-trials", "long-threshold-nan"])
+    ["beta", "--k", "1" + "0" * 400, "--u", "0.5"],
+    ["lgap", "--ell", "1" + "0" * 400, "--m", "3", "--u", "0.5", "--exact"],
+], ids=["lgap-trial-over-budget", "threshold-no-trials", "long-threshold-nan",
+        "beta-k-past-float", "lgap-ell-past-float"])
 def test_number_outside_its_rule_is_config_error(capsys, tmp_path, argv):
-    # The lgap trial asked numpy for 7.28 TiB; the other two exited 0, with
-    # totalTrials=0 and with pHat=0.
+    # The lgap trial asked numpy for 7.28 TiB; the next two exited 0, with
+    # totalTrials=0 and with pHat=0; the last two printed an OverflowError's
+    # traceback.
     struct = write_json(tmp_path, "s.json", {"family": "plain", "n": 3, "d": 2, "r": 2})
     assert_clean_config_error(*run(capsys, *[struct if a == "S" else a for a in argv]))
 

@@ -377,7 +377,7 @@ def test_event_count_matches_definition_oracles(event, p):
     assert 0 < sum(want) < len(want)
 
 
-@pytest.mark.parametrize("trials", [True, 2.5, 10.0, "10", 0])
+@pytest.mark.parametrize("trials", [True, 2.5, 10.0, "10", 0, 2 ** 64 + 1])
 def test_trial_count_rule_is_one_rule(trials):
     event = EventSpec("percolates", StructureSpec.plain(3, 2, 2))
     for route in (lambda: wilson_interval(1, trials),
@@ -425,9 +425,21 @@ def test_tolerances_and_levels_follow_the_number_rule(make):
     (lambda: q_of_p(1.0), "infinite at p = 1"),
     (lambda: wilson_interval(7, 5), "outside"),
     (lambda: wilson_interval(-1, 5), "outside"),
-], ids=["q_of_p-one", "wilson-above-trials", "wilson-negative"])
+    (lambda: beta(10 ** 400, 0.5), "k = 1"),
+    (lambda: g(2, 10 ** 400), "z = 1"),
+    (lambda: g(10 ** 400, 1.0), "k = 1"),
+    (lambda: l_exact(10 ** 400, 3, 0.5), "ell = 1"),
+    (lambda: wilson_interval(0, 10 ** 400), "trials must be"),
+    (lambda: QuadratureSettings(10 ** 400), "abs_tol"),
+    (lambda: estimate_event_prob(EventSpec("percolates", StructureSpec.plain(3, 2, 2)),
+                                 0.5, 10 ** 400, 1), "trials must be"),
+], ids=["q_of_p-one", "wilson-above-trials", "wilson-negative", "beta-k-past-float",
+        "g-z-past-float", "g-k-past-float", "l_exact-ell-past-float", "wilson-trials-past-float",
+        "abs_tol-past-float", "trials-past-64-bits"])
 def test_values_out_of_their_range_are_refused(make, message):
-    # The two Wilson intervals died with a bare "math domain error".
+    # The two Wilson intervals died with a bare "math domain error", the
+    # integers past a float with a bare OverflowError, QuadratureSettings
+    # took 10**400, and 10**400 trials started a loop with no practical end.
     with pytest.raises(DomainError, match=message) as info:
         make()
     assert "\n" not in str(info.value)
@@ -507,12 +519,17 @@ def random_block(rng, rows, shape):
     return rng.random((rows,) + shape) < density
 
 
-# 130 x 130 has more than 2**14 vertices, so a single grid takes sparse rounds.
-ENGINE_SPECS = CLOSURE_SPECS + [StructureSpec.plain(130, 2, 2)]
+# mc_small's rows of 4 and 16 cells, a grid of 12 axes (the axis budget), and
+# 130 x 130, which has more than 2**14 vertices, so a single grid is a large block.
+ENGINE_SPECS = CLOSURE_SPECS + [StructureSpec.plain(2, 2, 2), StructureSpec.plain(4, 2, 2),
+                                StructureSpec.plain(2, 12, 2), StructureSpec.plain(130, 2, 2)]
 
 
+# A large block's rounds are all sparse at share 0, and all dense at 2**40.
+@pytest.mark.parametrize("share", [0, 8, 2 ** 40], ids=["sparse", "mixed", "dense"])
 @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=str)
-def test_closure_engine_equals_reference(spec):
+def test_closure_engine_equals_reference(spec, share, monkeypatch):
+    monkeypatch.setattr("bootperc.dynamics._DENSE_SHARE", share)
     rng = np.random.default_rng([7, spec.n, spec.d, spec.r, spec.ell, spec.k])
     small = random_block(rng, 40 if spec.num_vertices < 1000 else 3, spec.shape)
     for row, got in zip(small, closure_batch(spec, small)):

@@ -368,9 +368,10 @@ def test_cell_set_of_another_grid_is_refused_alike_everywhere(shape):
         f"cell set of shape {shape} does not belong to the grid of shape (4, 4, 2)"}
 
 
-# Each reader refuses its own malformed input.  The first four used to raise
-# a bare TypeError; the sweep point ran on the event's structure while its
-# row named its own; the bisection returned with no trial run.
+# Each reader refuses its own malformed input.  The first four, and the
+# last five, used to raise a bare TypeError; the sweep point ran on the
+# event's structure while its row named its own; the bisection returned with
+# no trial run.
 MALFORMED_INPUTS = {
     "cell-list": lambda: CellSet((4, 4), 5),
     "double-gap-cells": lambda: has_double_gap((4, 4), 5),
@@ -381,6 +382,11 @@ MALFORMED_INPUTS = {
         StructureSpec.plain(4, 2, 2), EventSpec("percolates", StructureSpec.plain(8, 2, 2)), 0.5, 20),
     "bisection-trials-and-seed": lambda: estimate_p_alpha(
         StructureSpec.plain(3, 2, 2), "percolates", 0.5, "x", "y", 2.0),
+    "uniform-cell-list": lambda: closure_uniform(Rectangle((1, 1), (3, 3)), 5, 2),
+    "bounding-cell-list": lambda: bounding_rectangle(5),
+    "bounding-cell": lambda: bounding_rectangle([5]),
+    "double-gap-axes": lambda: has_double_gap((3, 3), [], axes=5),
+    "direction-name": lambda: CrossDirection.from_name([1]),
 }
 
 
