@@ -152,6 +152,17 @@ def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     return recurse(a, fa, b, fb, mid, fm, whole, tol, _MAX_DEPTH)
 
 
+def _check_dimension(d: int, name: str) -> int:
+    """The rule for a dimension: an integer that a float holds, so that the
+    exponent d - r + 1 converts.  Returns it as an int."""
+    d = check_number(d, name, numbers.Integral)
+    try:
+        float(d)
+    except OverflowError:
+        raise DomainError(f"{name} = {shown(d)} is too large for a float") from None
+    return d
+
+
 def lambda_constant(d: int, r: int,
                     settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """The threshold constant: integral of g(r-1, z^(d-r+1)) over (0, inf).
@@ -162,11 +173,11 @@ def lambda_constant(d: int, r: int,
     for z >= 1) is below abs_tol / 2; the two adaptive panels get abs_tol / 4
     each, so the total absolute error is at most abs_tol.
     """
-    check_number(d, "d", numbers.Integral)
+    d = _check_dimension(d, "d")
     check_number(r, "r", numbers.Integral)
     if not 2 <= r <= d:
         raise DomainError("lambda(d, r) requires 2 <= r <= d")
-    a_exp = d - r + 1
+    a_exp = float(d - r + 1)
     kk = r - 1
     tol = settings.abs_tol
     tiny = sys.float_info.min
@@ -196,7 +207,7 @@ def lambda_constant(d: int, r: int,
 def lambda_table(d_max: int,
                  settings: QuadratureSettings = DEFAULT_SETTINGS) -> list[tuple[int, int, float]]:
     """All (d, r, lambda(d, r)) for 2 <= r <= d <= d_max."""
-    check_number(d_max, "d_max", numbers.Integral)
+    d_max = _check_dimension(d_max, "d_max")
     if d_max < 2:
         raise DomainError("d_max must be >= 2")
     return [(d, r, lambda_constant(d, r, settings))

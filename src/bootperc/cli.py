@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .structures import CellSet, DomainError, Rectangle, StructureSpec
+from .structures import CellSet, DomainError, Rectangle, StructureSpec, check_object
 from .dynamics import CrossDirection
 from .analytic import (
     ConvergenceError,
@@ -44,16 +44,9 @@ def _load_json(path: str) -> dict:
         raise DomainError(f"malformed JSON in {path!r}: {exc}") from exc
 
 
-def _load_structure(path: str) -> StructureSpec:
-    return StructureSpec.from_json(_load_json(path))
-
-
 def _load_grid(path: str) -> tuple[StructureSpec, CellSet]:
-    obj = _load_json(path)
-    try:
-        structure, infected = obj["structure"], obj["infected"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"grid file {path!r} missing field: {exc}") from exc
+    structure, infected = check_object(_load_json(path), f"grid file {path!r}",
+                                      "structure", "infected")
     spec = StructureSpec.from_json(structure)
     return spec, CellSet.from_json(spec.shape, infected)
 
@@ -161,7 +154,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    spec = _load_structure(args.structure)
+    spec = StructureSpec.from_json(_load_json(args.structure))
     event = _build_event(args, spec)
     print(f"config: estimate event={json.dumps(event.to_json())} "
           f"structure={spec.dumps()} p={args.p} trials={args.trials} "
@@ -173,7 +166,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    spec = _load_structure(args.structure)
+    spec = StructureSpec.from_json(_load_json(args.structure))
     event = _build_event(args, spec)
     print(f"config: threshold alpha={args.alpha} event={json.dumps(event.to_json())} "
           f"structure={spec.dumps()} trials={args.trials} seed={args.seed} "

@@ -75,11 +75,10 @@ class CrossDirection:
 
     @staticmethod
     def from_name(name: str) -> "CrossDirection":
-        try:
-            axis, reverse = CrossDirection._NAMES[name]
-        except (KeyError, TypeError):  # an unhashable name is unknown too
-            raise DomainError(f"unknown crossing direction {name!r}") from None
-        return CrossDirection(axis, reverse)
+        # An unhashable name is unknown too.
+        if not (isinstance(name, str) and name in CrossDirection._NAMES):
+            raise DomainError(f"unknown crossing direction {name!r}")
+        return CrossDirection(*CrossDirection._NAMES[name])
 
 
 LEFT_TO_RIGHT = CrossDirection(1, False)

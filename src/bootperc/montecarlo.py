@@ -32,6 +32,7 @@ from .structures import (
     Rectangle,
     StructureSpec,
     check_number,
+    check_object,
     check_probability,
     check_rectangle,
     check_sides,
@@ -59,7 +60,17 @@ CROSSED = "crossed"
 SEMI_CROSSED = "semi_crossed"
 LONG_SPAN = "long_span"
 
-_KINDS = (PERCOLATES, SEMI_PERCOLATES, SPANS, CROSSED, SEMI_CROSSED, LONG_SPAN)
+# The fields each kind of event reads.  A kind that reads a rectangle or a
+# length threshold requires it; a direction defaults to left to right and a
+# semi-crossing axis to 1.
+_FIELDS = {
+    PERCOLATES: (),
+    SEMI_PERCOLATES: (),
+    SPANS: ("rectangle",),
+    CROSSED: ("rectangle", "direction"),
+    SEMI_CROSSED: ("rectangle", "axis"),
+    LONG_SPAN: ("long_threshold",),
+}
 
 # Raw words in one block of B >= 1 trials of W words each (W = |V| for an
 # initial set): B * W <= BLOCK_VERTICES.  A block's words (8 bytes each),
@@ -80,12 +91,16 @@ class EventSpec:
 
     def __post_init__(self) -> None:
         spec = self.structure
-        if self.kind not in _KINDS:
+        # An unhashable kind is unknown too.
+        if not (isinstance(self.kind, str) and self.kind in _FIELDS):
             raise DomainError(f"unknown event kind {self.kind!r}")
-        if self.kind in (SPANS, CROSSED, SEMI_CROSSED) and self.rectangle is None:
-            raise DomainError(f"{self.kind} requires a rectangle")
-        if self.kind == LONG_SPAN and self.long_threshold is None:
-            raise DomainError("long_span requires a length threshold")
+        reads = _FIELDS[self.kind]
+        for name in ("rectangle", "direction", "axis", "long_threshold"):
+            given = getattr(self, name) is not None
+            if given and name not in reads:
+                raise DomainError(f"a {self.kind} event reads no {name}")
+            if not given and name in reads and name in ("rectangle", "long_threshold"):
+                raise DomainError(f"a {self.kind} event requires a {name}")
         if self.long_threshold is not None:
             check_number(self.long_threshold, "length threshold")
         # The event rules live in dynamics and structures; applied here, a
@@ -143,19 +158,15 @@ class EventSpec:
 
     @staticmethod
     def from_json(obj: dict, structure: StructureSpec) -> "EventSpec":
-        try:
-            kind = obj["kind"]
-        except (KeyError, TypeError) as exc:
-            raise DomainError("bad event JSON: missing 'kind'") from exc
+        [kind] = check_object(obj, "event JSON", "kind")
         rect = Rectangle.from_json(obj["rect"]) if "rect" in obj else None
         direction = None
         if "direction" in obj:
             dobj = obj["direction"]
             if isinstance(dobj, str):
                 direction = CrossDirection.from_name(dobj)
-            elif not isinstance(dobj, dict):
-                raise DomainError("bad event JSON: 'direction' must be a name or an object")
             else:
+                check_object(dobj, "event direction that is not a name")
                 direction = CrossDirection(dobj.get("axis", 1), dobj.get("reverse", False))
         return EventSpec(kind, structure, rect, direction,
                          obj.get("axis"), obj.get("longThreshold"))
@@ -373,19 +384,13 @@ class SweepConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "SweepConfig":
-        try:
-            master_seed, grid = obj["masterSeed"], obj["grid"]
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"bad sweep config: {exc}") from exc
+        master_seed, grid = check_object(obj, "sweep config", "masterSeed", "grid")
         if not isinstance(grid, list):
             raise DomainError("bad sweep config: 'grid' must be a list")
         points = []
         for entry in grid:
-            try:
-                structure, event = entry["structure"], entry["event"]
-                ps, trials = entry["p"], entry["trials"]
-            except (KeyError, TypeError) as exc:
-                raise DomainError(f"bad sweep grid entry: {exc}") from exc
+            structure, event, ps, trials = check_object(
+                entry, "sweep grid entry", "structure", "event", "p", "trials")
             structure = StructureSpec.from_json(structure)
             event = EventSpec.from_json(event, structure)
             points += [SweepPoint(structure, event, p, trials)

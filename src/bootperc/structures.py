@@ -8,11 +8,13 @@ shape (integer sides >= 0 within the structure budget: at most ``MAX_AXES``
 axes and ``MAX_VERTICES`` cells), ``check_coord`` for coordinates (with
 ``check_arity`` its part short of bounds, also the rule for a list of
 axes), ``check_cells`` for a cell list, ``check_shape`` for a cell set's
-membership in a grid and ``check_rectangle`` for a rectangle of a structure;
-``shown`` quotes a refused number in a message.  Each type refuses its own
-malformed input with a DomainError: ``CellSet`` a cell list that is not
-iterable (``check_cells``), ``Rectangle.from_json`` anything but a
-``[lo, hi]`` pair, and ``StructureSpec`` a structure of more than
+membership in a grid, ``check_rectangle`` for a rectangle of a structure and
+``check_object`` for a JSON object and its required fields (the only reader
+of them: a structure, an event, a sweep config and its grid entries, and a
+grid file); ``shown`` quotes a refused number in a message.  Each type
+refuses its own malformed input with a DomainError: ``CellSet`` a cell list
+that is not iterable (``check_cells``), ``Rectangle.from_json`` anything
+but a ``[lo, hi]`` pair, and ``StructureSpec`` a structure of more than
 ``MAX_VERTICES`` vertices or ``MAX_AXES`` axes.
 
 The lattice is [n]^d x [k]^ell with 1-based coordinates.  The first d axes
@@ -100,6 +102,18 @@ def shown(value) -> str:
             inner = ", ".join(map(shown, value))
             return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
         return f"{'-' if value < 0 else ''}<integer of {abs(value).bit_length()} bits>"
+
+
+def check_object(obj, what: str, *names: str) -> list:
+    """The JSON-object rule: ``obj`` is a dict that holds each of ``names``.
+    ``what`` names the reader in the message.  Returns the values of
+    ``names`` in order."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    for name in names:
+        if name not in obj:
+            raise DomainError(f"{what} has no {name!r}")
+    return [obj[name] for name in names]
 
 
 def check_sides(sides: Sequence[int]) -> tuple[int, ...]:
@@ -227,13 +241,9 @@ class StructureSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "StructureSpec":
-        try:
-            family = obj["family"]
-            n, d, r = obj["n"], obj["d"], obj["r"]
-            ell, k = obj.get("ell", 0), obj.get("k", {PLAIN: 1, STAR: 2}.get(family, 0))
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"bad structure JSON: {exc}") from exc
-        return StructureSpec(family, n, d, r, ell, k)
+        family, n, d, r = check_object(obj, "structure JSON", "family", "n", "d", "r")
+        k = 1 if family == PLAIN else 2 if family == STAR else 0
+        return StructureSpec(family, n, d, r, obj.get("ell", 0), obj.get("k", k))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())

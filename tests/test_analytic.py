@@ -247,6 +247,13 @@ def test_quadrature_depth_exhaustion():
         lambda_constant(2, 2, QuadratureSettings(abs_tol=1e-300))
 
 
+def test_large_dimension_within_a_float_is_not_refused():
+    # A d past the float range is refused by name; a d that a float holds
+    # reaches the quadrature, which runs out of depth.
+    with pytest.raises(ConvergenceError):
+        lambda_constant(10 ** 20, 2)
+
+
 def test_lambda_table_shape():
     rows = lambda_table(4)
     assert [(d, r) for d, r, _ in rows] == [(2, 2), (3, 2), (3, 3),

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -224,7 +225,9 @@ def test_semi_crossed_rectangle_out_of_bounds_is_config_error(capsys, tmp_path):
      {"kind": "long_span", "longThreshold": "3"}),
     ({"family": "slab", "n": 4, "d": 2, "r": 2, "ell": 1, "k": 3},
      {"kind": "crossed", "rect": [[1, 1], [4, 4]], "direction": {"axis": 1.7, "reverse": "false"}}),
-], ids=["axis-string", "long-threshold-string", "direction-float-and-string"])
+    ({"family": "plain", "n": 4, "d": 2, "r": 2},
+     {"kind": "spans", "rect": [[1, 1], [4, 4]], "axis": [1]}),
+], ids=["axis-string", "long-threshold-string", "direction-float-and-string", "spans-axis"])
 def test_sweep_event_with_mistyped_field_is_config_error(capsys, tmp_path, structure, event):
     config = {"masterSeed": 5,
               "grid": [{"structure": structure, "event": event, "p": 0.3, "trials": 10}]}
@@ -242,6 +245,18 @@ def test_semi_crossed_axis_zero_is_config_error(capsys, tmp_path):
                  "--p", "0.3", "--trials", "5", "--seed", "1")
     assert_clean_config_error(*result)
     assert "axis" in result[2]
+
+
+def test_crossed_axis_is_config_error(capsys, tmp_path):
+    # A crossing reads its axis from --orientation; --axis 2 used to be
+    # printed in the config line and then ignored.
+    struct = write_json(tmp_path, "s.json",
+                        {"family": "slab", "n": 6, "d": 2, "r": 2, "ell": 1, "k": 3})
+    result = run(capsys, "estimate", "--event", "crossed",
+                 "--structure", struct, "--rect", "1,1,6,3", "--axis", "2",
+                 "--p", "0.3", "--trials", "5", "--seed", "1")
+    assert_clean_config_error(*result)
+    assert "crossed" in result[2] and "axis" in result[2]
 
 
 def test_spans_rectangle_of_wrong_arity_is_config_error(capsys, tmp_path):
@@ -349,14 +364,85 @@ def test_structure_over_axis_budget_is_config_error(capsys, tmp_path, command, d
      "--p", "0.3", "--trials", "5", "--seed", "1"],
     ["beta", "--k", "1" + "0" * 400, "--u", "0.5"],
     ["lgap", "--ell", "1" + "0" * 400, "--m", "3", "--u", "0.5", "--exact"],
+    ["lambda", "--d", "1" + "0" * 400, "--r", "2"],
+    ["lambda-table", "--dmax", "1" + "0" * 400],
 ], ids=["lgap-trial-over-budget", "threshold-no-trials", "long-threshold-nan",
-        "beta-k-past-float", "lgap-ell-past-float"])
+        "beta-k-past-float", "lgap-ell-past-float", "lambda-d-past-float",
+        "lambda-table-dmax-past-float"])
 def test_number_outside_its_rule_is_config_error(capsys, tmp_path, argv):
     # The lgap trial asked numpy for 7.28 TiB; the next two exited 0, with
-    # totalTrials=0 and with pHat=0; the last two printed an OverflowError's
-    # traceback.
+    # totalTrials=0 and with pHat=0; the next two printed an OverflowError's
+    # traceback; lambda printed 0 and the lambda table looped with no
+    # practical end.
     struct = write_json(tmp_path, "s.json", {"family": "plain", "n": 3, "d": 2, "r": 2})
     assert_clean_config_error(*run(capsys, *[struct if a == "S" else a for a in argv]))
+
+
+PLAIN4 = {"family": "plain", "n": 4, "d": 2, "r": 2}
+POINT = {"structure": PLAIN4, "event": {"kind": "percolates"}, "p": 0.3, "trials": 10}
+
+# (reader, the value it is given, the reader's name and the rest of the message)
+BAD_OBJECTS = [
+    ("structure", [1, 2], "structure JSON", "must be a JSON object, not list"),
+    ("structure", {"family": "plain", "n": 4, "d": 2}, "structure JSON", "has no 'r'"),
+    ("event", "plain", "event JSON", "must be a JSON object, not str"),
+    ("event", {"rect": [[1, 1], [4, 4]]}, "event JSON", "has no 'kind'"),
+    ("direction", 5, "event direction", "must be a JSON object, not int"),
+    ("config", [1, 2], "sweep config", "must be a JSON object, not list"),
+    ("config", {"grid": [POINT]}, "sweep config", "has no 'masterSeed'"),
+    ("entry", 5, "sweep grid entry", "must be a JSON object, not int"),
+    ("entry", {"structure": PLAIN4, "event": {"kind": "percolates"}, "p": 0.3},
+     "sweep grid entry", "has no 'trials'"),
+    ("grid", "plain", "grid file", "must be a JSON object, not str"),
+    ("grid", {"structure": PLAIN4}, "grid file", "has no 'infected'"),
+]
+
+
+@pytest.mark.parametrize("reader,value,name,message", BAD_OBJECTS,
+                         ids=[f"{c[0]}-{type(c[1]).__name__}" for c in BAD_OBJECTS])
+def test_json_object_reader_names_itself_and_the_field(capsys, tmp_path, reader, value,
+                                                       name, message):
+    # A value that is not an object used to let Python's own error through,
+    # such as "'int' object is not subscriptable", and a missing field was
+    # named by its key alone.
+    if reader == "structure":
+        argv = ["estimate", "--event", "percolates", "--structure",
+                write_json(tmp_path, "s.json", value), "--p", "0.3", "--trials", "5", "--seed", "1"]
+    elif reader == "grid":
+        argv = ["closure", "--input", write_json(tmp_path, "g.json", value)]
+    else:
+        point = dict(POINT)
+        config = {"masterSeed": 7, "grid": [point]}
+        if reader == "event":
+            point["event"] = value
+        elif reader == "direction":
+            point["event"] = {"kind": "crossed", "rect": [[1, 1], [4, 4]], "direction": value}
+        elif reader == "entry":
+            config["grid"] = [value]
+        else:
+            config = value
+        argv = ["sweep", "--config", write_json(tmp_path, "c.json", config),
+                "--out", str(tmp_path / "rows.csv")]
+    result = run(capsys, *argv)
+    assert_clean_config_error(*result)
+    err = result[2]
+    assert name in err and message in err
+    assert "subscriptable" not in err and "indices must be" not in err
+
+
+def test_readme_inputs_run(capsys, tmp_path):
+    # The grid file and the sweep config that README.md shows stay readable.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    grid, config = re.findall(r"```json\n(.*?)```", readme, re.S)
+    (tmp_path / "grid.json").write_text(grid)
+    (tmp_path / "sweep.json").write_text(config)
+    path = str(tmp_path / "grid.json")
+    for argv in (["closure", "--input", path], ["span", "--input", path],
+                 ["witness", "--input", path, "--L", "3"],
+                 ["sweep", "--config", str(tmp_path / "sweep.json"),
+                  "--out", str(tmp_path / "results.csv")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv[0], err)
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from bootperc.structures import CellSet, DomainError, Rectangle, StructureSpec
-from bootperc.analytic import QuadratureSettings, beta, g, l_exact, q_of_p
+from bootperc.analytic import (
+    QuadratureSettings,
+    beta,
+    g,
+    l_exact,
+    lambda_constant,
+    lambda_table,
+    q_of_p,
+)
 from bootperc.dynamics import (
     BOTTOM_TO_TOP,
     LEFT_TO_RIGHT,
@@ -433,13 +441,18 @@ def test_tolerances_and_levels_follow_the_number_rule(make):
     (lambda: QuadratureSettings(10 ** 400), "abs_tol"),
     (lambda: estimate_event_prob(EventSpec("percolates", StructureSpec.plain(3, 2, 2)),
                                  0.5, 10 ** 400, 1), "trials must be"),
+    (lambda: lambda_constant(10 ** 400, 2), "d = 1"),
+    (lambda: lambda_constant(10 ** 400, 3), "d = 1"),
+    (lambda: lambda_table(10 ** 400), "d_max = 1"),
 ], ids=["q_of_p-one", "wilson-above-trials", "wilson-negative", "beta-k-past-float",
         "g-z-past-float", "g-k-past-float", "l_exact-ell-past-float", "wilson-trials-past-float",
-        "abs_tol-past-float", "trials-past-64-bits"])
+        "abs_tol-past-float", "trials-past-64-bits", "lambda-d-past-float",
+        "lambda-d-past-float-r3", "lambda_table-d_max-past-float"])
 def test_values_out_of_their_range_are_refused(make, message):
     # The two Wilson intervals died with a bare "math domain error", the
     # integers past a float with a bare OverflowError, QuadratureSettings
-    # took 10**400, and 10**400 trials started a loop with no practical end.
+    # took 10**400, and 10**400 trials started a loop with no practical end,
+    # as did the lambda table; lambda of a d past a float returned 0.0.
     with pytest.raises(DomainError, match=message) as info:
         make()
     assert "\n" not in str(info.value)
@@ -583,6 +596,20 @@ def test_closure_uniform_equals_reference(lo, hi, t):
     lambda: EventSpec("long_span", PLAIN5, long_threshold="3"),
     lambda: EventSpec("long_span", PLAIN5, long_threshold=True),
     lambda: Rectangle((1.5, 1), (3, 3)),
+    # Each field below is one the kind does not read, and used to be ignored.
+    lambda: EventSpec("crossed", SLAB4, Rectangle((1, 1), (4, 4)), axis=2),
+    lambda: EventSpec("semi_crossed", STAR4, Rectangle((1, 1), (4, 4)), BOTTOM_TO_TOP),
+    lambda: EventSpec("spans", PLAIN5, Rectangle((1, 1), (5, 5)), axis=1),
+    lambda: EventSpec("spans", PLAIN5, Rectangle((1, 1), (5, 5)), long_threshold=3),
+    lambda: EventSpec("percolates", PLAIN5, Rectangle((1, 1), (5, 5))),
+    lambda: EventSpec("percolates", PLAIN5, LEFT_TO_RIGHT),
+    lambda: EventSpec("percolates", PLAIN5, axis=1),
+    lambda: EventSpec("percolates", PLAIN5, long_threshold=3),
+    lambda: EventSpec("semi_percolates", STAR4, axis=1),
+    lambda: EventSpec("long_span", PLAIN5, LEFT_TO_RIGHT, long_threshold=3),
+    lambda: EventSpec.from_json({"kind": "spans", "rect": [[1, 1], [5, 5]], "axis": [1]}, PLAIN5),
+    # An unhashable kind is an unknown kind, not a TypeError.
+    lambda: EventSpec.from_json({"kind": [1]}, PLAIN5),
 ])
 def test_event_spec_refuses_bad_inputs(make):
     with pytest.raises(DomainError):

@@ -387,6 +387,7 @@ MALFORMED_INPUTS = {
     "bounding-cell": lambda: bounding_rectangle([5]),
     "double-gap-axes": lambda: has_double_gap((3, 3), [], axes=5),
     "direction-name": lambda: CrossDirection.from_name([1]),
+    "structure-family": lambda: StructureSpec.from_json({"family": [1], "n": 3, "d": 2, "r": 2}),
 }
 
 
