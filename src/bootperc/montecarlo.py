@@ -5,14 +5,16 @@ Per-trial randomness comes from a counter-style Philox stream keyed on
 (master seed, trial index), so estimates are reproducible regardless of
 execution order.  ``trial_rng`` and ``sample_bin`` give one trial's stream
 and initial set.  The estimators draw the same sets in blocks of trials
-(``sample_blocks``): one Philox bit generator is re-keyed to
-(master seed, t) for each trial t instead of building a generator per
-trial, and a block is evaluated at once by ``EventSpec.count``, the one
-dispatch over event kinds; ``EventSpec.evaluate`` is its form for one
-initial set.  Every estimator turns raw Philox words into indicators by one
-uniform rule (``_hits``) and draws blocks of at most ``BLOCK_VERTICES``
-words; ``estimate_lgap`` reads trial t at its fixed position in one stream,
-so no estimate depends on the block size.
+(``sample_blocks``).  On a structure of fewer than ``_VECTOR_VERTICES``
+vertices a block's Philox words are computed for all its trials at once
+(``_philox_words``, since Philox is counter based); on a larger one a Philox
+bit generator is re-keyed to (master seed, t) for each trial t.  A block is
+evaluated at once by ``EventSpec.count``, the one dispatch over event kinds;
+``EventSpec.evaluate`` is its form for one initial set.  Every estimator
+turns raw Philox words into indicators by one uniform rule (``_hits``) and
+draws blocks of at most ``BLOCK_VERTICES`` words; ``estimate_lgap`` reads
+trial t at its fixed position in one stream, so no estimate depends on the
+block size.
 """
 
 from __future__ import annotations
@@ -76,6 +78,15 @@ _FIELDS = {
 # initial set): B * W <= BLOCK_VERTICES.  A block's words (8 bytes each),
 # masks and closure arrays then take about 1 MiB, unless one trial is larger.
 BLOCK_VERTICES = 1 << 16
+
+# Structures with fewer vertices than this draw a block's words with one
+# vectorized Philox pass (``_philox_words``), larger ones by re-keying one
+# Philox per trial.  Per trial, words plus ``_hits``, best of 5 over 20 000
+# trials in three processes on 2 cores, vectorized against re-key: V = 4
+# 0.16-0.23 against 1.3-2.7 us, V = 18 0.63-0.99 against 1.4-2.8 us, V = 49
+# 1.6-2.3 against 1.8-3.3 us, V = 64 1.9-2.8 against 1.8-3.6 us, V = 81
+# 2.5-3.7 against 1.8-2.3 us, V = 256 7.8-10.4 against 2.8-3.0 us.
+_VECTOR_VERTICES = 64
 
 
 @dataclass(frozen=True)
@@ -158,7 +169,8 @@ class EventSpec:
 
     @staticmethod
     def from_json(obj: dict, structure: StructureSpec) -> "EventSpec":
-        [kind] = check_object(obj, "event JSON", "kind")
+        [kind] = check_object(obj, "event JSON", "kind",
+                              optional=("rect", "direction", "axis", "longThreshold"))
         rect = Rectangle.from_json(obj["rect"]) if "rect" in obj else None
         direction = None
         if "direction" in obj:
@@ -166,7 +178,8 @@ class EventSpec:
             if isinstance(dobj, str):
                 direction = CrossDirection.from_name(dobj)
             else:
-                check_object(dobj, "event direction that is not a name")
+                check_object(dobj, "event direction that is not a name",
+                             optional=("axis", "reverse"))
                 direction = CrossDirection(dobj.get("axis", 1), dobj.get("reverse", False))
         return EventSpec(kind, structure, rect, direction,
                          obj.get("axis"), obj.get("longThreshold"))
@@ -250,30 +263,91 @@ def _hits(words: np.ndarray, p: float) -> np.ndarray:
     return np.right_shift(words, 11, out=words) < np.uint64(math.ceil(p * 2.0 ** 53))
 
 
+def _philox_words(seed_word: int, first: int, count: int, size: int) -> np.ndarray:
+    """Raw words [0, size) of ``Philox(key=seed_word * 2**64 + t)`` for t in
+    [first, first + count), as a (count, size) uint64 array, computed for all
+    trials at once.
+
+    Word group g of a trial is Philox4x64-10 at counter (g + 1, 0, 0, 0),
+    since numpy increments the counter before each group of four words, with
+    key words (t, seed_word).  The high half of a 64 x 64-bit product comes
+    from four 32-bit partial products (Hacker's Delight's mulhu), the low
+    half is the wrapping product.  The rounds write into seven arrays
+    allocated once; the key words are arrays, because numpy warns on uint64
+    scalar overflow.
+    """
+    u64 = np.uint64
+    mask, half = u64(0xFFFFFFFF), u64(32)
+    shape = (count, -(-size // 4))
+    x = [np.zeros(shape, u64) for _ in range(4)]
+    x[0] += np.arange(1, shape[1] + 1, dtype=u64)
+    k0 = np.arange(count, dtype=u64)[:, None] + u64(first)
+    k1 = np.full(1, seed_word, u64)
+    spare, hi, c = (np.empty(shape, u64) for _ in range(3))
+    for rnd in range(10):
+        if rnd:
+            k0 += u64(0x9E3779B97F4A7C15)
+            k1 += u64(0xBB67AE8584CAA73B)
+        x0, x1, x2, x3 = x
+        # (x0, x1, x2, x3) <- (hi(x2*M1) ^ x1 ^ k0, lo(x2*M1), hi(x0*M0) ^ x3 ^ k1, lo(x0*M0));
+        # x0 is free once its product is taken, so it holds lo(x2*M1).
+        for a, m, lo, out, key in ((x0, 0xD2E7470EE14C6C93, spare, x3, k1),
+                                   (x2, 0xCA5A826395121157, x0, x1, k0)):
+            m_lo, m_hi = u64(m & 0xFFFFFFFF), u64(m >> 32)
+            np.right_shift(a, half, out=hi)
+            np.bitwise_and(a, mask, out=c)
+            c *= m_lo
+            c >>= half
+            np.multiply(hi, m_lo, out=lo)
+            c += lo  # s = a_hi*m_lo + (a_lo*m_lo >> 32) fits in 64 bits
+            np.bitwise_and(c, mask, out=lo)
+            c >>= half
+            hi *= m_hi
+            hi += c  # a_hi*m_hi + (s >> 32)
+            np.bitwise_and(a, mask, out=c)
+            c *= m_hi
+            c += lo
+            c >>= half
+            hi += c  # + ((a_lo*m_hi + (s & mask)) >> 32)
+            np.multiply(a, u64(m), out=lo)
+            out ^= hi
+            out ^= key
+        x, spare = [x1, x0, x3, spare], x2
+    del spare, hi, c  # before the output is built, for a lower peak
+    return np.stack(x, axis=-1).reshape(count, 4 * shape[1])[:, :size]
+
+
 def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
     """The initial sets of trials 0, ..., trials - 1 as bool blocks of shape
     ``(B, *spec.shape)``, in trial order, with B * |V| <= BLOCK_VERTICES.
 
-    Row t is ``sample_bin(spec, p, trial_rng(master_seed, t)).mask``: one
-    Philox bit generator is re-keyed to (master_seed, t) with a zero
-    counter for each trial, and its raw words go through ``_hits``.
+    Row t is ``sample_bin(spec, p, trial_rng(master_seed, t)).mask``: the raw
+    words of trial t's stream go through ``_hits``.  Below
+    ``_VECTOR_VERTICES`` vertices a block's words are computed for all its
+    trials at once (``_philox_words``); otherwise one Philox bit generator is
+    re-keyed to (master_seed, t) with a zero counter for each trial.
     """
     check_probability(p, "p")
     size = spec.num_vertices
     step = max(1, BLOCK_VERTICES // size)
+    seed_word = _seed_word(master_seed)
     bits = np.random.Philox(key=0)
     # Trial t's stream: key words (t, seed), counter 0, nothing buffered.
     # Plain lists make the state setter several times cheaper than arrays.
-    key = [0, _seed_word(master_seed)]
+    key = [0, seed_word]
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for start in range(0, trials, step):
-        words = np.empty((min(step, trials - start), size), dtype=np.uint64)
-        for i in range(len(words)):
-            key[0] = start + i
-            bits.state = state
-            words[i] = bits.random_raw(size)
-        yield _hits(words, p).reshape((len(words),) + spec.shape)
+        count = min(step, trials - start)
+        if size < _VECTOR_VERTICES:
+            words = _philox_words(seed_word, start, count, size)
+        else:
+            words = np.empty((count, size), dtype=np.uint64)
+            for i in range(count):
+                key[0] = start + i
+                bits.state = state
+                words[i] = bits.random_raw(size)
+        yield _hits(words, p).reshape((count,) + spec.shape)
 
 
 def estimate_event_prob(event: EventSpec, p: float, trials: int,

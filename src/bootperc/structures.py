@@ -9,13 +9,14 @@ axes and ``MAX_VERTICES`` cells), ``check_coord`` for coordinates (with
 ``check_arity`` its part short of bounds, also the rule for a list of
 axes), ``check_cells`` for a cell list, ``check_shape`` for a cell set's
 membership in a grid, ``check_rectangle`` for a rectangle of a structure and
-``check_object`` for a JSON object and its required fields (the only reader
-of them: a structure, an event, a sweep config and its grid entries, and a
-grid file); ``shown`` quotes a refused number in a message.  Each type
-refuses its own malformed input with a DomainError: ``CellSet`` a cell list
-that is not iterable (``check_cells``), ``Rectangle.from_json`` anything
-but a ``[lo, hi]`` pair, and ``StructureSpec`` a structure of more than
-``MAX_VERTICES`` vertices or ``MAX_AXES`` axes.
+``check_object`` for a JSON object, its required fields and the keys it may
+hold (the only reader of them: a structure, an event, a sweep config and its
+grid entries, and a grid file); ``shown`` quotes a refused number in a
+message.  Each type refuses its own malformed input with a DomainError:
+``CellSet`` a cell list that is not iterable (``check_cells``),
+``Rectangle.from_json`` anything but a ``[lo, hi]`` pair, and
+``StructureSpec`` a structure of more than ``MAX_VERTICES`` vertices or
+``MAX_AXES`` axes.
 
 The lattice is [n]^d x [k]^ell with 1-based coordinates.  The first d axes
 are "horizontal", the trailing ell axes are "thickness".  Three families are
@@ -104,12 +105,15 @@ def shown(value) -> str:
         return f"{'-' if value < 0 else ''}<integer of {abs(value).bit_length()} bits>"
 
 
-def check_object(obj, what: str, *names: str) -> list:
-    """The JSON-object rule: ``obj`` is a dict that holds each of ``names``.
-    ``what`` names the reader in the message.  Returns the values of
-    ``names`` in order."""
+def check_object(obj, what: str, *names: str, optional: tuple[str, ...] = ()) -> list:
+    """The JSON-object rule: ``obj`` is a dict that holds each of ``names``
+    and no key but those and ``optional``.  ``what`` names the reader in
+    the message.  Returns the values of ``names`` in order."""
     if not isinstance(obj, dict):
         raise DomainError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    for key in obj:
+        if key not in names and key not in optional:
+            raise DomainError(f"{what} has an unknown key {key!r}")
     for name in names:
         if name not in obj:
             raise DomainError(f"{what} has no {name!r}")
@@ -241,7 +245,8 @@ class StructureSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "StructureSpec":
-        family, n, d, r = check_object(obj, "structure JSON", "family", "n", "d", "r")
+        family, n, d, r = check_object(obj, "structure JSON", "family", "n", "d", "r",
+                                       optional=("ell", "k"))
         k = 1 if family == PLAIN else 2 if family == STAR else 0
         return StructureSpec(family, n, d, r, obj.get("ell", 0), obj.get("k", k))
 

@@ -396,10 +396,25 @@ BAD_OBJECTS = [
     ("grid", "plain", "grid file", "must be a JSON object, not str"),
     ("grid", {"structure": PLAIN4}, "grid file", "has no 'infected'"),
 ]
+# A key that the reader does not know was ignored: "orientation" (the CLI
+# flag's name, not the JSON key) gave a left-to-right crossing, "K" gave k = 1.
+UNKNOWN_KEYS = [
+    ("structure", {**PLAIN4, "K": 3}, "structure JSON", "has an unknown key 'K'"),
+    ("event", {"kind": "crossed", "rect": [[1, 1], [4, 4]], "orientation": "bottom-to-top"},
+     "event JSON", "has an unknown key 'orientation'"),
+    ("direction", {"axis": 2, "reversed": True}, "event direction",
+     "has an unknown key 'reversed'"),
+    ("config", {"masterSeed": 7, "grid": [POINT], "seed": 3}, "sweep config",
+     "has an unknown key 'seed'"),
+    ("entry", {**POINT, "seeds": [1]}, "sweep grid entry", "has an unknown key 'seeds'"),
+    ("grid", {"structure": PLAIN4, "infected": [], "closure": []}, "grid file",
+     "has an unknown key 'closure'"),
+]
 
 
-@pytest.mark.parametrize("reader,value,name,message", BAD_OBJECTS,
-                         ids=[f"{c[0]}-{type(c[1]).__name__}" for c in BAD_OBJECTS])
+@pytest.mark.parametrize("reader,value,name,message", BAD_OBJECTS + UNKNOWN_KEYS,
+                         ids=[f"{c[0]}-{type(c[1]).__name__}" for c in BAD_OBJECTS]
+                         + [f"{c[0]}-unknown-key" for c in UNKNOWN_KEYS])
 def test_json_object_reader_names_itself_and_the_field(capsys, tmp_path, reader, value,
                                                        name, message):
     # A value that is not an object used to let Python's own error through,

@@ -44,6 +44,9 @@ from bootperc.montecarlo import (
     sample_blocks,
     trial_rng,
     wilson_interval,
+    _VECTOR_VERTICES,
+    _philox_words,
+    _seed_word,
 )
 from test_dynamics import crossed_oracle, naive_closure, semi_crossed_oracle
 from test_span import span_oracle
@@ -228,18 +231,50 @@ def reference_estimate(event, p, trials, seed):
                     *wilson_interval(successes, trials), seed)
 
 
+# Structures on both sides of _VECTOR_VERTICES: plain(100, 2, 2) and
+# plain(_VECTOR_VERTICES, 1, 1) re-key one Philox per trial, the others
+# draw their words with _philox_words.
+SAMPLE_SPECS = [StructureSpec.plain(100, 2, 2), StructureSpec.plain(_VECTOR_VERTICES, 1, 1),
+                StructureSpec.plain(_VECTOR_VERTICES - 1, 1, 1), StructureSpec.star(3, 2, 1, 2),
+                StructureSpec.plain(2, 2, 2)]
+
+
 @pytest.mark.parametrize("p", [0.0, 1.0, 0.3, 1 - 2 ** -53, 2 ** -60])
 @pytest.mark.parametrize("seed", [0, -5, 2 ** 64 + 17, 2 ** 70 - 1])
-def test_sample_blocks_rows_equal_sample_bin(p, seed):
-    spec = StructureSpec.plain(100, 2, 2)  # 10 000 vertices: blocks of 6
-    step = BLOCK_VERTICES // spec.num_vertices
-    trials = 2 * step + 3
+@pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=str)
+def test_sample_blocks_rows_equal_sample_bin(spec, p, seed):
+    step = BLOCK_VERTICES // spec.num_vertices  # plain(100, 2, 2): blocks of 6
+    trials = min(2 * step + 3, 40)
     blocks = list(sample_blocks(spec, p, seed, trials))
-    assert [len(b) for b in blocks] == [step, step, 3]
+    assert [len(b) for b in blocks] == [min(step, trials - s) for s in range(0, trials, step)]
     rows = np.concatenate(blocks)
     assert rows.shape == (trials,) + spec.shape and rows.dtype == bool
     for t in range(trials):
         assert np.array_equal(rows[t], sample_bin(spec, p, trial_rng(seed, t)).mask)
+
+
+def test_sample_blocks_fill_one_block_and_part_of_a_second():
+    spec = StructureSpec.star(3, 2, 1, 2)
+    assert spec.num_vertices < _VECTOR_VERTICES
+    step = BLOCK_VERTICES // spec.num_vertices
+    blocks = list(sample_blocks(spec, 0.3, -1, step + 5))
+    assert [len(b) for b in blocks] == [step, 5]
+    for t, row in enumerate(np.concatenate(blocks)):
+        assert np.array_equal(row, sample_bin(spec, 0.3, trial_rng(-1, t)).mask)
+
+
+# Sizes that are not multiples of 4, trial indices at both ends of [0, 2**64),
+# and master seed -1, whose seed word is 2**64 - 1.
+@pytest.mark.parametrize("size", [1, 3, 5, 18, 63])
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1, -1])
+def test_philox_words_equal_random_raw(size, seed):
+    seed_word = _seed_word(seed)
+    for first, count in ((0, 6), (2 ** 64 - 3, 3)):
+        words = _philox_words(seed_word, first, count, size)
+        assert words.shape == (count, size) and words.dtype == np.uint64
+        for t, row in enumerate(words, start=first):
+            want = np.random.Philox(key=seed_word * 2 ** 64 + t).random_raw(size)
+            assert np.array_equal(row, want)
 
 
 def test_sample_blocks_cut_is_exact_at_a_drawn_uniform():
