@@ -5,7 +5,9 @@ constant integral.
 b = 1 - (1-u)^k and c = u (1-u)^k; ``g(k, z) = -log(beta(k, 1 - e^-z))``;
 ``lambda_constant(d, r)`` integrates g(r-1, z^(d-r+1)) over (0, inf).
 
-Probabilities go through ``structures.check_probability``.  ``g``, the
+Probabilities go through ``structures.check_probability`` and ranges through
+``check_number``'s bounds, which hold k, ell, z and d to at most
+``_FLOAT_MAX``, so that no float conversion overflows.  ``g``, the
 quadrature's integrand, checks z but not its u = 1 - e^-z, which is in [0, 1].
 """
 
@@ -19,6 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structures import DomainError, check_number, check_probability, shown
+
+_FLOAT_MAX = sys.float_info.max  # the largest k, ell, z or d: each converts to a float
+_INT_FLOAT_MAX = int(_FLOAT_MAX)  # _root's fast path: an int compares faster with an int
 
 
 class ConvergenceError(ArithmeticError):
@@ -49,14 +54,9 @@ DEFAULT_SETTINGS = QuadratureSettings()
 
 def _root(k: int, u: float) -> float:
     """``beta`` with k held to the integer rule but u unchecked: ``g``'s path."""
-    if type(k) is not int:
-        k = check_number(k, "k", numbers.Integral)
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    try:
-        w = (1.0 - u) ** k
-    except OverflowError:
-        raise DomainError(f"k = {shown(k)} is too large for a float") from None
+    if type(k) is not int or not 1 <= k <= _INT_FLOAT_MAX:
+        k = check_number(k, "k", numbers.Integral, 1, _FLOAT_MAX)
+    w = (1.0 - u) ** k
     b = 1.0 - w
     c = u * w
     return 0.5 * (b + math.sqrt(b * b + 4.0 * c))
@@ -74,13 +74,10 @@ def beta(k: int, u: float) -> float:
 def g(k: int, z: float) -> float:
     """-log(beta(k, 1 - e^-z)) for z > 0."""
     if type(z) is not float:
-        z = check_number(z, "z")
+        z = check_number(z, "z", hi=_FLOAT_MAX)
     if not z > 0.0:
         raise DomainError("g is defined for z > 0 only")
-    try:
-        u = -math.expm1(-z)  # 1 - e^-z without cancellation
-    except OverflowError:
-        raise DomainError(f"z = {shown(z)} is too large for a float") from None
+    u = -math.expm1(-z)  # 1 - e^-z without cancellation
     root = _root(k, u)
     if root >= 0.5:
         # Rationalized form: with w = (1-u)^k = e^-kz and
@@ -112,19 +109,12 @@ def l_exact(ell: int, m: int, u: float) -> float:
     polynomial x^2 = b x + c is ``beta(ell + 1, u)``, so L_m decays like
     beta(ell + 1, u)^m.
     """
-    check_number(ell, "ell", numbers.Integral)
-    check_number(m, "m", numbers.Integral)
-    if ell < 0:
-        raise DomainError("ell must be >= 0")
-    if m < -1:
-        raise DomainError("m must be >= -1")
+    check_number(ell, "ell", numbers.Integral, 0, _FLOAT_MAX)
+    check_number(m, "m", numbers.Integral, -1)
     u = check_probability(u, "u")
     if m <= 0:
         return 1.0
-    try:
-        w = (1.0 - u) ** (ell + 1)
-    except OverflowError:
-        raise DomainError(f"ell = {shown(ell)} is too large for a float") from None
+    w = (1.0 - u) ** (ell + 1)
     power = np.linalg.matrix_power(np.array([[1.0 - w, u * w], [1.0, 0.0]]), m)
     return float(power[0].sum())
 
@@ -152,17 +142,6 @@ def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     return recurse(a, fa, b, fb, mid, fm, whole, tol, _MAX_DEPTH)
 
 
-def _check_dimension(d: int, name: str) -> int:
-    """The rule for a dimension: an integer that a float holds, so that the
-    exponent d - r + 1 converts.  Returns it as an int."""
-    d = check_number(d, name, numbers.Integral)
-    try:
-        float(d)
-    except OverflowError:
-        raise DomainError(f"{name} = {shown(d)} is too large for a float") from None
-    return d
-
-
 def lambda_constant(d: int, r: int,
                     settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """The threshold constant: integral of g(r-1, z^(d-r+1)) over (0, inf).
@@ -173,10 +152,8 @@ def lambda_constant(d: int, r: int,
     for z >= 1) is below abs_tol / 2; the two adaptive panels get abs_tol / 4
     each, so the total absolute error is at most abs_tol.
     """
-    d = _check_dimension(d, "d")
-    check_number(r, "r", numbers.Integral)
-    if not 2 <= r <= d:
-        raise DomainError("lambda(d, r) requires 2 <= r <= d")
+    d = check_number(d, "d", numbers.Integral, hi=_FLOAT_MAX)
+    r = check_number(r, "r", numbers.Integral, 2, d)
     a_exp = float(d - r + 1)
     kk = r - 1
     tol = settings.abs_tol
@@ -207,9 +184,7 @@ def lambda_constant(d: int, r: int,
 def lambda_table(d_max: int,
                  settings: QuadratureSettings = DEFAULT_SETTINGS) -> list[tuple[int, int, float]]:
     """All (d, r, lambda(d, r)) for 2 <= r <= d <= d_max."""
-    d_max = _check_dimension(d_max, "d_max")
-    if d_max < 2:
-        raise DomainError("d_max must be >= 2")
+    d_max = check_number(d_max, "d_max", numbers.Integral, 2, _FLOAT_MAX)
     return [(d, r, lambda_constant(d, r, settings))
             for d in range(2, d_max + 1)
             for r in range(2, d + 1)]

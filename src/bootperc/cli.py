@@ -110,6 +110,8 @@ def _cmd_lambda_table(args) -> int:
 
 def _cmd_lgap(args) -> int:
     if args.exact:
+        if args.trials is not None or args.seed is not None:
+            raise DomainError("lgap --exact reads no --trials or --seed")
         print(f"config: lgap exact ell={args.ell} m={args.m} u={args.u}")
         print(_fmt(l_exact(args.ell, args.m, args.u)))
         return 0

@@ -44,7 +44,6 @@ from .structures import (
     check_sides,
     grid_tables,
     label_rows,
-    shown,
     threshold_table,
 )
 
@@ -174,9 +173,7 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     of the box's arity; those outside the box are ignored, and the rest
     become a CellSet of the grid up to ``box.hi``.
     """
-    check_number(t, "t", numbers.Integral)
-    if t < 1:
-        raise DomainError("uniform threshold must be >= 1")
+    check_number(t, "t", numbers.Integral, 1)
     if min(box.lo, default=1) < 1:
         raise DomainError("box coordinates must be >= 1")
     check_sides(box.hi)
@@ -246,8 +243,7 @@ def check_crossing(spec: StructureSpec, rect: Rectangle, direction: CrossDirecti
     if spec.family != SLAB or spec.d != 2:
         raise DomainError("crossing is defined for slab structures with d = 2")
     check_rectangle(spec, rect)
-    if not 1 <= direction.axis <= spec.d:
-        raise DomainError(f"crossing axis {shown(direction.axis)} out of range 1..{spec.d}")
+    check_number(direction.axis, "crossing axis", numbers.Integral, 1, spec.d)
 
 
 def check_semi_crossing(spec: StructureSpec, rect: Rectangle, axis: int) -> int:
@@ -255,10 +251,7 @@ def check_semi_crossing(spec: StructureSpec, rect: Rectangle, axis: int) -> int:
     in 1..d; returns the axis as an int."""
     check_semi_percolation(spec)
     check_rectangle(spec, rect)
-    axis = check_number(axis, "semi-crossing axis", numbers.Integral)
-    if not 1 <= axis <= spec.d:
-        raise DomainError(f"semi-crossing axis {shown(axis)} out of range 1..{spec.d}")
-    return axis
+    return check_number(axis, "semi-crossing axis", numbers.Integral, 1, spec.d)
 
 
 def _local_closure(spec: StructureSpec, infected: np.ndarray, region=True) -> np.ndarray:
@@ -353,9 +346,7 @@ def has_double_gap(dims: Sequence[int], cells, axes: Iterable[int] | None = None
     check_shape(dims, cells.shape)
     ndim = len(cells.shape)
     for axis in range(1, ndim + 1) if axes is None else check_arity(axes, name="axis list"):
-        ax = axis - 1
-        if not 0 <= ax < ndim:
-            raise DomainError(f"axis {shown(axis)} out of range for box {cells.shape}")
+        ax = check_number(axis, "axis", numbers.Integral, 1, ndim) - 1
         occ = cells.mask.any(axis=tuple(i for i in range(ndim) if i != ax))
         padded = np.concatenate(([False], occ, [False]))
         if bool((~padded[:-1] & ~padded[1:]).any()):

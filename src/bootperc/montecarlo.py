@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -38,7 +39,6 @@ from .structures import (
     check_probability,
     check_rectangle,
     check_sides,
-    shown,
 )
 from .dynamics import (
     LEFT_TO_RIGHT,
@@ -78,6 +78,10 @@ _FIELDS = {
 # initial set): B * W <= BLOCK_VERTICES.  A block's words (8 bytes each),
 # masks and closure arrays then take about 1 MiB, unless one trial is larger.
 BLOCK_VERTICES = 1 << 16
+
+# The values of one 64-bit Philox key word: trial and task indices lie in
+# [0, _KEY_WORDS), trial counts in [1, _KEY_WORDS], seeds are taken modulo it.
+_KEY_WORDS = 2 ** 64
 
 # Structures with fewer vertices than this draw a block's words with one
 # vectorized Philox pass (``_philox_words``), larger ones by re-keying one
@@ -201,20 +205,10 @@ def _estimate(successes: int, trials: int, master_seed: int) -> Estimate:
     return Estimate(successes / trials, trials, *wilson_interval(successes, trials), master_seed)
 
 
-def _check_trials(trials: int) -> None:
-    """The rule for a trial count: an integer in [1, 2**64], the number of
-    trial indices ``trial_rng`` takes."""
-    check_number(trials, "trials", numbers.Integral)
-    if not 1 <= trials <= 2 ** 64:
-        raise DomainError(f"trials must be in [1, 2**64], not {shown(trials)}")
-
-
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """The Wilson 95% interval of ``successes``, an integer in [0, trials], out of ``trials``."""
-    _check_trials(trials)
-    check_number(successes, "successes", numbers.Integral)
-    if not 0 <= successes <= trials:
-        raise DomainError(f"successes = {shown(successes)} outside [0, {shown(trials)}]")
+    check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
+    check_number(successes, "successes", numbers.Integral, 0, trials)
     z, phat = _Z95, successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -224,26 +218,20 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def _seed_word(master_seed: int) -> int:
     """The 64-bit word of an integer master seed: its value modulo 2**64, so -1 is 2**64 - 1."""
-    return check_number(master_seed, "master seed", numbers.Integral) & (2 ** 64 - 1)
-
-
-def _index_word(index: int, name: str) -> int:
-    """The rule for a trial or task index: an integer in [0, 2**64)."""
-    index = check_number(index, name, numbers.Integral)
-    if not 0 <= index < 2 ** 64:
-        raise DomainError(f"{name} {shown(index)} outside [0, 2**64)")
-    return index
+    return check_number(master_seed, "master seed", numbers.Integral) & (_KEY_WORDS - 1)
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Counter-style stream for one trial: Philox keyed on (seed, trial)."""
-    key = _seed_word(master_seed) * 2 ** 64 + _index_word(trial, "trial")
+    trial = check_number(trial, "trial", numbers.Integral, 0, _KEY_WORDS - 1)
+    key = _seed_word(master_seed) * _KEY_WORDS + trial
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """A stable 64-bit subseed for the index-th child task."""
-    ss = np.random.SeedSequence([_seed_word(master_seed), _index_word(index, "task index")])
+    index = check_number(index, "task index", numbers.Integral, 0, _KEY_WORDS - 1)
+    ss = np.random.SeedSequence([_seed_word(master_seed), index])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -359,7 +347,7 @@ def estimate_event_prob(event: EventSpec, p: float, trials: int,
     and evaluated in blocks (``sample_blocks``, ``EventSpec.count``), which
     gives the same count.
     """
-    _check_trials(trials)
+    check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
     successes = sum(event.count(block)
                     for block in sample_blocks(event.structure, p, master_seed, trials))
     return _estimate(successes, trials, master_seed)
@@ -384,7 +372,7 @@ def estimate_p_alpha(spec: StructureSpec, event, alpha: float,
         raise DomainError("alpha must lie in (0, 1)")
     if not check_number(p_tol, "p_tol") > 0.0:
         raise DomainError("p_tol must be positive")
-    _check_trials(trials_per_eval)
+    check_number(trials_per_eval, "trials", numbers.Integral, 1, _KEY_WORDS)
     _seed_word(seed)
     if not isinstance(event, EventSpec):
         event = EventSpec(event, spec)
@@ -411,12 +399,10 @@ def estimate_lgap(ell: int, m: int, u: float, trials: int, master_seed: int) -> 
     of ``Philox(key=master_seed)`` through ``_hits``: m+1 primary indicators,
     then ell rows of m secondary ones, so it is fixed by its stream position.
     """
-    check_number(ell, "ell", numbers.Integral)
-    check_number(m, "m", numbers.Integral)
-    if ell < 0 or m < 0:
-        raise DomainError("ell and m must be >= 0")
+    check_number(ell, "ell", numbers.Integral, 0)
+    check_number(m, "m", numbers.Integral, 0)
     check_probability(u, "u")
-    _check_trials(trials)
+    check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
     width = (m + 1) + ell * m
     if width > MAX_VERTICES:
         raise DomainError(f"an lgap trial of (m + 1) + ell * m words is wider than {MAX_VERTICES}")
@@ -441,7 +427,7 @@ class SweepPoint:
     def __post_init__(self) -> None:
         _check_event_structure(self.event, self.structure)
         object.__setattr__(self, "p", check_probability(self.p, "p"))
-        _check_trials(self.trials)
+        check_number(self.trials, "trials", numbers.Integral, 1, _KEY_WORDS)
 
 
 @dataclass(frozen=True)
@@ -477,7 +463,8 @@ SWEEP_COLUMNS = ["family", "n", "d", "ell", "k", "r", "event", "p",
 
 
 def run_sweep(config: SweepConfig, out_path: str | None = None) -> list[dict]:
-    """Evaluate every grid point; stream rows to CSV if a path is given."""
+    """Evaluate every grid point; stream rows to CSV if a path is given.  A
+    row's event is its kind, or the compact JSON of an event that has fields."""
     rows = []
     with contextlib.ExitStack() as stack:
         writer = None
@@ -491,9 +478,11 @@ def run_sweep(config: SweepConfig, out_path: str | None = None) -> list[dict]:
         for idx, point in enumerate(config.points):
             seed = derive_seed(config.master_seed, idx)
             est = estimate_event_prob(point.event, point.p, point.trials, seed)
+            event = point.event.to_json()
+            event = json.dumps(event, separators=(",", ":")) if len(event) > 1 else event["kind"]
             row = {
                 **point.structure.to_json(),
-                "event": point.event.kind, "p": repr(point.p),
+                "event": event, "p": repr(point.p),
                 "trials": point.trials, "pHat": repr(est.p_hat),
                 "ciLow": repr(est.ci_low), "ciHigh": repr(est.ci_high),
                 "seed": seed,

@@ -10,7 +10,6 @@ import numpy as np
 
 from .structures import (
     CellSet,
-    DomainError,
     Rectangle,
     StructureSpec,
     check_number,
@@ -159,8 +158,7 @@ def find_spanned_rectangle(spec: StructureSpec, cells: CellSet, length: int) -> 
     """A rectangle internally spanned by A with length <= long <= 2*length,
     taken from the merge algorithm's creation log; None if none was created.
     """
-    if check_number(length, "target length", numbers.Integral) < 1:
-        raise DomainError("target length must be >= 1")
+    check_number(length, "target length", numbers.Integral, 1)
     result = span_main_algorithm(spec, cells)
     for rect in result.creation_log:
         if length <= rect.long <= 2 * length:
@@ -184,8 +182,7 @@ def find_spanned_component(spec: StructureSpec, cells: CellSet, length: int) -> 
     since the previous state, where it failed that test, so after the first
     state only the new cell's component is tested.
     """
-    if check_number(length, "target length", numbers.Integral) < 1:
-        raise DomainError("target length must be >= 1")
+    check_number(length, "target length", numbers.Integral, 1)
     check_shape(spec, cells.shape)
 
     nbrs, size = grid_tables(spec.shape)

@@ -1,22 +1,22 @@
 """Lattice bootstrap structures: coordinates, thresholds, adjacency, geometry, labelling.
 
 Each rule on inputs is written once here: ``check_number`` for numbers (a
-bool, NaN or string is refused) and the only cast of an integer input (a
-float is refused too), ``check_probability`` for a probability (a number in
-[0, 1]), ``check_flag`` for a flag, ``check_sides`` for a grid
-shape (integer sides >= 0 within the structure budget: at most ``MAX_AXES``
-axes and ``MAX_VERTICES`` cells), ``check_coord`` for coordinates (with
-``check_arity`` its part short of bounds, also the rule for a list of
-axes), ``check_cells`` for a cell list, ``check_shape`` for a cell set's
-membership in a grid, ``check_rectangle`` for a rectangle of a structure and
-``check_object`` for a JSON object, its required fields and the keys it may
-hold (the only reader of them: a structure, an event, a sweep config and its
-grid entries, and a grid file); ``shown`` quotes a refused number in a
-message.  Each type refuses its own malformed input with a DomainError:
-``CellSet`` a cell list that is not iterable (``check_cells``),
-``Rectangle.from_json`` anything but a ``[lo, hi]`` pair, and
-``StructureSpec`` a structure of more than ``MAX_VERTICES`` vertices or
-``MAX_AXES`` axes.
+bool, NaN or string is refused), the only cast of an integer input (a float
+is refused too) and the range rule (a closed [lo, hi], each bound optional),
+``check_probability`` for a probability (a number in [0, 1]), ``check_flag``
+for a flag, ``check_sides`` for a grid shape (integer sides >= 0 within the
+structure budget: at most ``MAX_AXES`` axes and ``MAX_VERTICES`` cells),
+``check_coord`` for coordinates (with ``check_arity`` its part short of
+bounds, also the rule for a list of axes), ``check_cells`` for a cell list,
+``check_shape`` for a cell set's membership in a grid, ``check_rectangle``
+for a rectangle of a structure and ``check_object`` for a JSON object, its
+required fields and the keys it may hold (the only reader of them: a
+structure, an event, a sweep config and its grid entries, and a grid file);
+``shown`` quotes a refused number in a message.  Each type refuses its own
+malformed input with a DomainError: ``CellSet`` a cell list that is not
+iterable (``check_cells``), ``Rectangle.from_json`` anything but a
+``[lo, hi]`` pair, and ``StructureSpec`` a structure of more than
+``MAX_VERTICES`` vertices or ``MAX_AXES`` axes.
 
 The lattice is [n]^d x [k]^ell with 1-based coordinates.  The first d axes
 are "horizontal", the trailing ell axes are "thickness".  Three families are
@@ -66,23 +66,30 @@ class DomainError(ValueError):
     """Invalid argument: out-of-bounds coordinate, bad parameter, etc."""
 
 
-def check_number(value, name: str, kind=numbers.Real):
+def check_number(value, name: str, kind=numbers.Real, lo=None, hi=None):
     """The number rule: a ``kind`` that is not a bool or NaN, so JSON's true,
-    "1" and a NaN are refused.  Returns the value, an integer as a Python int."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, kind) or value != value:
-        noun = "an integer" if kind is numbers.Integral else "a number"
-        raise DomainError(f"{name} must be {noun}, not {value!r}")
-    return operator.index(value) if kind is numbers.Integral else value
+    "1" and a NaN are refused, in the closed range [lo, hi], each bound
+    checked only when given.  Returns the value, an integer as a Python int.
+    A strict bound (alpha in (0, 1), z > 0) is no closed range, and
+    ``check_coord`` and ``check_sides`` refuse a coordinate or shape whole,
+    so those stay with their callers.  The bounds default to None, not
+    infinities, since an int compares with a float several times slower."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, kind) or value != value:
+            noun = "an integer" if kind is numbers.Integral else "a number"
+            raise DomainError(f"{name} must be {noun}, not {value!r}")
+        if kind is numbers.Integral:
+            value = operator.index(value)
+    if lo is not None and value < lo or hi is not None and value > hi:
+        low = "(-inf" if lo is None else f"[{shown(lo)}"
+        high = "inf)" if hi is None else f"{shown(hi)}]"
+        raise DomainError(f"{name} = {shown(value)} outside {low}, {high}")
+    return value
 
 
 def check_probability(value, name: str) -> float:
     """The probability rule: a number (``check_number``) in [0, 1].  Returns it as a float."""
-    check_number(value, name)
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} = {shown(value)} outside [0, 1]")
-    return float(value)
+    return float(check_number(value, name, lo=0, hi=1))
 
 
 def check_flag(value, name: str) -> bool:
@@ -194,11 +201,9 @@ class StructureSpec:
     def __post_init__(self) -> None:
         if self.family not in (PLAIN, STAR, SLAB):
             raise DomainError(f"unknown family {self.family!r}")
-        for name in ("n", "d", "r", "ell", "k"):
-            value = check_number(getattr(self, name), name, numbers.Integral)
+        for name, lo in (("n", 1), ("d", 1), ("r", 1), ("ell", 0), ("k", None)):
+            value = check_number(getattr(self, name), name, numbers.Integral, lo)
             object.__setattr__(self, name, value)
-        if self.n < 1 or self.d < 1 or self.r < 1 or self.ell < 0:
-            raise DomainError("n, d, r must be >= 1 and ell >= 0")
         if self.family == PLAIN and (self.ell != 0 or self.k != 1):
             raise DomainError("plain structures have no thickness axes")
         if self.family == STAR and self.k != 2:

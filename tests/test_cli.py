@@ -78,6 +78,15 @@ def test_lgap_exact_and_mc(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags", [["--trials", "7"], ["--seed", "3"],
+                                   ["--trials", "7", "--seed", "3"]])
+def test_lgap_exact_refuses_monte_carlo_flags(capsys, flags):
+    # lgap --exact --trials 7 --seed 3 exited 0 and ignored both flags.
+    result = run(capsys, "lgap", "--ell", "1", "--m", "4", "--u", "0.5", "--exact", *flags)
+    assert_clean_config_error(*result)
+    assert "lgap --exact reads no --trials or --seed" in result[2]
+
+
 def write_grid(tmp_path):
     grid = {
         "structure": {"family": "plain", "n": 4, "d": 2, "r": 2},

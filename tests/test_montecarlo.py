@@ -1,5 +1,7 @@
 import csv
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from bootperc.dynamics import (
     closure,
     closure_batch,
     closure_uniform,
+    has_double_gap,
     is_crossed,
     is_semi_crossed,
     semi_percolates,
@@ -48,6 +51,7 @@ from bootperc.montecarlo import (
     _philox_words,
     _seed_word,
 )
+from bootperc.span import find_spanned_component, find_spanned_rectangle
 from test_dynamics import crossed_oracle, naive_closure, semi_crossed_oracle
 from test_span import span_oracle
 
@@ -218,6 +222,26 @@ def test_sweep_config_and_run(tmp_path):
     assert rows == rows2
     with pytest.raises(DomainError):
         SweepConfig.from_json({"masterSeed": 1, "grid": []})
+
+
+def test_sweep_rows_name_their_event(tmp_path):
+    # Both rows were written with the bare kind "crossed", so that they
+    # differed only in their seed and pHat.
+    slab = {"family": "slab", "n": 4, "d": 2, "ell": 1, "k": 3, "r": 2}
+    grid = [{"structure": slab, "p": 0.3, "trials": 50,
+             "event": {"kind": "crossed", "rect": [[1, 1], [4, 4]], "direction": name}}
+            for name in ("left-to-right", "bottom-to-top")]
+    config = SweepConfig.from_json({"masterSeed": 9, "grid": grid})
+    out = tmp_path / "rows.csv"
+    run_sweep(config, str(out))
+    with open(out) as handle:
+        events = [row["event"] for row in csv.DictReader(handle)]
+    assert events == [
+        '{"kind":"crossed","rect":[[1,1],[4,4]],"direction":{"axis":1,"reverse":false}}',
+        '{"kind":"crossed","rect":[[1,1],[4,4]],"direction":{"axis":2,"reverse":false}}',
+    ]
+    assert [EventSpec.from_json(json.loads(event), config.points[0].structure)
+            for event in events] == [point.event for point in config.points]
 
 
 # --- the blocked trial path against the per-trial reference -----------------
@@ -427,7 +451,7 @@ def test_trial_count_rule_is_one_rule(trials):
                   lambda: estimate_event_prob(event, 0.3, trials, 1),
                   lambda: estimate_lgap(1, 5, 0.3, trials, 1),
                   lambda: SweepPoint(event.structure, event, 0.3, trials)):
-        with pytest.raises(DomainError, match="trials must be"):
+        with pytest.raises(DomainError, match="trials must be|trials = .* outside"):
             route()
     assert estimate_event_prob(event, 0.3, np.int64(4), 1).trials == 4
 
@@ -464,6 +488,12 @@ def test_tolerances_and_levels_follow_the_number_rule(make):
         make()
 
 
+FLOAT_MAX = int(sys.float_info.max)
+STAR = StructureSpec.star(4, 2, 1, 2)
+SLAB = StructureSpec.slab(4, 2, 1, 3, 2)
+WHOLE = Rectangle((1, 1), (4, 4))
+
+
 @pytest.mark.parametrize("make,message", [
     (lambda: q_of_p(1.0), "infinite at p = 1"),
     (lambda: wilson_interval(7, 5), "outside"),
@@ -472,17 +502,30 @@ def test_tolerances_and_levels_follow_the_number_rule(make):
     (lambda: g(2, 10 ** 400), "z = 1"),
     (lambda: g(10 ** 400, 1.0), "k = 1"),
     (lambda: l_exact(10 ** 400, 3, 0.5), "ell = 1"),
-    (lambda: wilson_interval(0, 10 ** 400), "trials must be"),
+    (lambda: wilson_interval(0, 10 ** 400), "trials = 1"),
     (lambda: QuadratureSettings(10 ** 400), "abs_tol"),
     (lambda: estimate_event_prob(EventSpec("percolates", StructureSpec.plain(3, 2, 2)),
-                                 0.5, 10 ** 400, 1), "trials must be"),
+                                 0.5, 10 ** 400, 1), "trials = 1"),
     (lambda: lambda_constant(10 ** 400, 2), "d = 1"),
     (lambda: lambda_constant(10 ** 400, 3), "d = 1"),
     (lambda: lambda_table(10 ** 400), "d_max = 1"),
+    (lambda: StructureSpec("plain", 4, 0, 2), "d = 0 outside"),
+    (lambda: StructureSpec("plain", 4, 2, 0), "r = 0 outside"),
+    (lambda: StructureSpec("star", 4, 2, 2, -1, 2), "ell = -1 outside"),
+    (lambda: estimate_p_alpha(StructureSpec.plain(3, 2, 2), "percolates", 0.5, 2 ** 64 + 1,
+                              1, 2.0), "trials = 18446744073709551617 outside"),
+    (lambda: estimate_lgap(1, -1, 0.5, 10, 1), "m = -1 outside"),
+    (lambda: has_double_gap((4, 4), [], axes=[0]), "axis = 0 outside"),
+    (lambda: find_spanned_component(STAR, CellSet(STAR.shape), 0), "target length = 0 outside"),
+    (lambda: l_exact(1, -2, 0.5), "m = -2 outside"),
+    (lambda: lambda_constant(3, 1), "r = 1 outside"),
 ], ids=["q_of_p-one", "wilson-above-trials", "wilson-negative", "beta-k-past-float",
         "g-z-past-float", "g-k-past-float", "l_exact-ell-past-float", "wilson-trials-past-float",
         "abs_tol-past-float", "trials-past-64-bits", "lambda-d-past-float",
-        "lambda-d-past-float-r3", "lambda_table-d_max-past-float"])
+        "lambda-d-past-float-r3", "lambda_table-d_max-past-float", "structure-d-zero",
+        "structure-r-zero", "structure-ell-negative", "p_alpha-trials-past-64-bits",
+        "lgap-m-negative", "double-gap-axis-zero", "component-length-zero",
+        "l_exact-m-below-minus-one", "lambda-r-one"])
 def test_values_out_of_their_range_are_refused(make, message):
     # The two Wilson intervals died with a bare "math domain error", the
     # integers past a float with a bare OverflowError, QuadratureSettings
@@ -491,6 +534,36 @@ def test_values_out_of_their_range_are_refused(make, message):
     with pytest.raises(DomainError, match=message) as info:
         make()
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("holds", [
+    lambda: StructureSpec("plain", 1, 1, 1).num_vertices == 1,
+    lambda: StructureSpec.star(2, 2, 0, 2).shape == (2, 2),
+    lambda: sample_bin((3, 3), 0, trial_rng(1, 0)).mask.sum() == 0,
+    lambda: sample_bin((3, 3), 1, trial_rng(1, 0)).mask.sum() == 9,
+    lambda: wilson_interval(0, 1)[0] == 0.0 and wilson_interval(1, 1)[1] == 1.0,
+    lambda: wilson_interval(2 ** 64, 2 ** 64)[1] == 1.0,
+    lambda: trial_rng(5, 0) is not None and derive_seed(5, 0) >= 0,
+    lambda: estimate_event_prob(EventSpec("percolates", STAR), 0.3, 1, 1).trials == 1,
+    lambda: estimate_lgap(0, 0, 0.5, 1, 1).p_hat == 1.0,
+    lambda: len(closure_uniform(Rectangle((1, 1), (3, 3)), [(2, 2)], 1)) == 9,
+    lambda: EventSpec("crossed", SLAB, WHOLE, BOTTOM_TO_TOP).direction.axis == SLAB.d,
+    lambda: EventSpec("semi_crossed", STAR, WHOLE, axis=2).axis == STAR.d,
+    lambda: has_double_gap((4, 4), [], axes=[2]),
+    lambda: find_spanned_rectangle(STAR, CellSet(STAR.shape), 1) is None,
+    lambda: find_spanned_component(STAR, CellSet(STAR.shape), 1) is None,
+    lambda: beta(1, 0.5) > 0.5 and beta(FLOAT_MAX, 0.5) == 1.0,
+    lambda: g(FLOAT_MAX, 1.0) == 0.0 and g(2, sys.float_info.max) == 0.0,
+    lambda: l_exact(0, -1, 0.5) == 1.0 and l_exact(FLOAT_MAX, 1, 0.5) == 1.0,
+    lambda: lambda_constant(2, 2) == pytest.approx(math.pi ** 2 / 18, abs=1e-6),
+    lambda: [(d, r) for d, r, _ in lambda_table(2)] == [(2, 2)],
+], ids=["structure-ones", "star-ell-zero", "p-zero", "p-one", "wilson-one-trial",
+        "wilson-2**64-trials", "index-zero", "one-trial", "lgap-ell-m-zero",
+        "uniform-t-one", "crossing-axis-d", "semi-crossing-axis-d", "double-gap-axis-ndim",
+        "rectangle-length-one", "component-length-one", "beta-k-edges", "g-edges",
+        "l_exact-edges", "lambda-r-two", "lambda_table-two"])
+def test_values_on_the_edge_of_their_range_are_accepted(holds):
+    assert holds()
 
 
 CLOSURE_SPECS = [
