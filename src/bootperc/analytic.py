@@ -7,8 +7,8 @@ b = 1 - (1-u)^k and c = u (1-u)^k; ``g(k, z) = -log(beta(k, 1 - e^-z))``;
 
 Probabilities go through ``structures.check_probability`` and ranges through
 ``check_number``'s bounds, which hold k, ell, z and d to at most
-``_FLOAT_MAX``, so that no float conversion overflows.  ``g``, the
-quadrature's integrand, checks z but not its u = 1 - e^-z, which is in [0, 1].
+``_FLOAT_MAX``, so that no float conversion overflows.  Inputs are checked
+once, at the public call: the kernels ``_root`` and ``_g`` check nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from .structures import DomainError, check_number, check_probability, shown
 
 _FLOAT_MAX = sys.float_info.max  # the largest k, ell, z or d: each converts to a float
-_INT_FLOAT_MAX = int(_FLOAT_MAX)  # _root's fast path: an int compares faster with an int
 
 
 class ConvergenceError(ArithmeticError):
@@ -44,18 +43,15 @@ class QuadratureSettings:
     abs_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        # The upper bound also refuses an integer too large for a float.
-        if not 0 < check_number(self.abs_tol, "abs_tol") <= sys.float_info.max:
-            raise DomainError(f"abs_tol must be positive and finite, not {shown(self.abs_tol)}")
+        if not check_number(self.abs_tol, "abs_tol", hi=_FLOAT_MAX) > 0:
+            raise DomainError(f"abs_tol must be positive, not {shown(self.abs_tol)}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
 
 
 def _root(k: int, u: float) -> float:
-    """``beta`` with k held to the integer rule but u unchecked: ``g``'s path."""
-    if type(k) is not int or not 1 <= k <= _INT_FLOAT_MAX:
-        k = check_number(k, "k", numbers.Integral, 1, _FLOAT_MAX)
+    """``beta`` on checked inputs."""
     w = (1.0 - u) ** k
     b = 1.0 - w
     c = u * w
@@ -68,15 +64,19 @@ def beta(k: int, u: float) -> float:
     Computed from the root formula (b + sqrt(b^2 + 4c)) / 2, which is
     cancellation-safe near u = 0.
     """
-    return _root(k, check_probability(u, "u"))
+    return _root(check_number(k, "k", numbers.Integral, 1, _FLOAT_MAX), check_probability(u, "u"))
 
 
 def g(k: int, z: float) -> float:
     """-log(beta(k, 1 - e^-z)) for z > 0."""
-    if type(z) is not float:
-        z = check_number(z, "z", hi=_FLOAT_MAX)
+    z = float(check_number(z, "z", hi=_FLOAT_MAX))
     if not z > 0.0:
         raise DomainError("g is defined for z > 0 only")
+    return _g(check_number(k, "k", numbers.Integral, 1, _FLOAT_MAX), z)
+
+
+def _g(k: int, z: float) -> float:
+    """``g`` on checked inputs: the quadrature's integrand."""
     u = -math.expm1(-z)  # 1 - e^-z without cancellation
     root = _root(k, u)
     if root >= 0.5:
@@ -156,7 +156,7 @@ def lambda_constant(d: int, r: int,
     r = check_number(r, "r", numbers.Integral, 2, d)
     a_exp = float(d - r + 1)
     kk = r - 1
-    tol = settings.abs_tol
+    tol = float(settings.abs_tol)  # a float32 tolerance gives the float64 answer
     tiny = sys.float_info.min
 
     def f(z: float) -> float:
@@ -168,7 +168,7 @@ def lambda_constant(d: int, r: int,
             return 0.0
         if x < tiny:
             return -0.5 * a_exp * math.log(z)
-        return g(kk, x)
+        return _g(kk, x)
 
     # (0, 1] via z = e^-s: the transformed integrand decays like s * e^-s,
     # so s = 60 leaves a remainder far below any supported tolerance.

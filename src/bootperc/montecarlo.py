@@ -24,6 +24,7 @@ import csv
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,8 @@ class EventSpec:
             if not given and name in reads and name in ("rectangle", "long_threshold"):
                 raise DomainError(f"a {self.kind} event requires a {name}")
         if self.long_threshold is not None:
-            check_number(self.long_threshold, "length threshold")
+            big = sys.float_info.max  # finite, since JSON and CSV have no Infinity
+            check_number(self.long_threshold, "length threshold", lo=-big, hi=big)
         # The event rules live in dynamics and structures; applied here, a
         # bad event is refused when it is built, before any trial.
         if self.kind == SEMI_PERCOLATES:

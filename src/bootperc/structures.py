@@ -69,17 +69,20 @@ class DomainError(ValueError):
 def check_number(value, name: str, kind=numbers.Real, lo=None, hi=None):
     """The number rule: a ``kind`` that is not a bool or NaN, so JSON's true,
     "1" and a NaN are refused, in the closed range [lo, hi], each bound
-    checked only when given.  Returns the value, an integer as a Python int.
-    A strict bound (alpha in (0, 1), z > 0) is no closed range, and
-    ``check_coord`` and ``check_sides`` refuse a coordinate or shape whole,
-    so those stay with their callers.  The bounds default to None, not
-    infinities, since an int compares with a float several times slower."""
+    checked only when given.  Returns the value, an integer as a Python int
+    and a numpy float as a Python float.  A strict bound (alpha in (0, 1),
+    z > 0) is no closed range, and ``check_coord`` and ``check_sides`` refuse
+    a coordinate or shape whole, so those stay with their callers.  The
+    bounds default to None, not infinities, since an int compares with a
+    float several times slower."""
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, kind) or value != value:
             noun = "an integer" if kind is numbers.Integral else "a number"
             raise DomainError(f"{name} must be {noun}, not {value!r}")
         if kind is numbers.Integral:
             value = operator.index(value)
+        elif isinstance(value, np.floating):
+            value = float(value)  # a float32 would cast a float64 bound and overflow
     if lo is not None and value < lo or hi is not None and value > hi:
         low = "(-inf" if lo is None else f"[{shown(lo)}"
         high = "inf)" if hi is None else f"{shown(hi)}]"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
+from bootperc import analytic
 from bootperc.analytic import (
     ConvergenceError,
     QuadratureSettings,
@@ -17,7 +18,7 @@ from bootperc.analytic import (
     q_of_p,
 )
 from bootperc.montecarlo import estimate_lgap, wilson_interval
-from bootperc.structures import DomainError
+from bootperc.structures import DomainError, check_number
 
 
 def test_beta_closed_forms():
@@ -205,6 +206,24 @@ def test_lambda_tolerance_is_respected():
     loose = lambda_constant(3, 3, QuadratureSettings(abs_tol=1e-4))
     tight = lambda_constant(3, 3, QuadratureSettings(abs_tol=1e-10))
     assert abs(loose - tight) < 1e-4
+
+
+def test_quadrature_integrand_checks_nothing(monkeypatch):
+    # Inputs are checked once, at the public call, so the number of
+    # check_number calls does not grow with the number of integrand calls.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_number(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "check_number", counted)
+    counts = []
+    for tol in (1e-4, 1e-10):
+        calls.clear()
+        lambda_constant(3, 3, QuadratureSettings(abs_tol=tol))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_lambda_domain():

@@ -375,14 +375,19 @@ def test_structure_over_axis_budget_is_config_error(capsys, tmp_path, command, d
     ["lgap", "--ell", "1" + "0" * 400, "--m", "3", "--u", "0.5", "--exact"],
     ["lambda", "--d", "1" + "0" * 400, "--r", "2"],
     ["lambda-table", "--dmax", "1" + "0" * 400],
+    ["estimate", "--event", "long-span", "--structure", "S", "--long-threshold", "inf",
+     "--p", "0.3", "--trials", "5", "--seed", "1"],
+    ["g", "--k", "2", "--z", "inf"],
 ], ids=["lgap-trial-over-budget", "threshold-no-trials", "long-threshold-nan",
         "beta-k-past-float", "lgap-ell-past-float", "lambda-d-past-float",
-        "lambda-table-dmax-past-float"])
+        "lambda-table-dmax-past-float", "long-threshold-inf", "g-z-inf"])
 def test_number_outside_its_rule_is_config_error(capsys, tmp_path, argv):
     # The lgap trial asked numpy for 7.28 TiB; the next two exited 0, with
     # totalTrials=0 and with pHat=0; the next two printed an OverflowError's
     # traceback; lambda printed 0 and the lambda table looped with no
-    # practical end.
+    # practical end.  An infinite length threshold ran and printed
+    # "longThreshold": Infinity, which is not JSON, and g of an infinite z
+    # printed 0.
     struct = write_json(tmp_path, "s.json", {"family": "plain", "n": 3, "d": 2, "r": 2})
     assert_clean_config_error(*run(capsys, *[struct if a == "S" else a for a in argv]))
 

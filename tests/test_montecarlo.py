@@ -519,18 +519,26 @@ WHOLE = Rectangle((1, 1), (4, 4))
     (lambda: find_spanned_component(STAR, CellSet(STAR.shape), 0), "target length = 0 outside"),
     (lambda: l_exact(1, -2, 0.5), "m = -2 outside"),
     (lambda: lambda_constant(3, 1), "r = 1 outside"),
+    (lambda: g(2, math.inf), "z = inf outside"),
+    (lambda: g(2, np.float64(math.inf)), "z = inf outside"),
+    (lambda: g(2, math.nan), "z must be a number"),
+    (lambda: EventSpec("long_span", STAR, long_threshold=math.inf),
+     "length threshold = inf outside"),
 ], ids=["q_of_p-one", "wilson-above-trials", "wilson-negative", "beta-k-past-float",
         "g-z-past-float", "g-k-past-float", "l_exact-ell-past-float", "wilson-trials-past-float",
         "abs_tol-past-float", "trials-past-64-bits", "lambda-d-past-float",
         "lambda-d-past-float-r3", "lambda_table-d_max-past-float", "structure-d-zero",
         "structure-r-zero", "structure-ell-negative", "p_alpha-trials-past-64-bits",
         "lgap-m-negative", "double-gap-axis-zero", "component-length-zero",
-        "l_exact-m-below-minus-one", "lambda-r-one"])
+        "l_exact-m-below-minus-one", "lambda-r-one", "g-z-inf", "g-z-float64-inf", "g-z-nan",
+        "long-threshold-inf"])
 def test_values_out_of_their_range_are_refused(make, message):
     # The two Wilson intervals died with a bare "math domain error", the
     # integers past a float with a bare OverflowError, QuadratureSettings
     # took 10**400, and 10**400 trials started a loop with no practical end,
     # as did the lambda table; lambda of a d past a float returned 0.0.
+    # g(2, inf) returned 0.0 while g(2, np.float64(inf)) was refused, and an
+    # infinite length threshold was written to JSON as Infinity.
     with pytest.raises(DomainError, match=message) as info:
         make()
     assert "\n" not in str(info.value)
@@ -557,12 +565,22 @@ def test_values_out_of_their_range_are_refused(make, message):
     lambda: l_exact(0, -1, 0.5) == 1.0 and l_exact(FLOAT_MAX, 1, 0.5) == 1.0,
     lambda: lambda_constant(2, 2) == pytest.approx(math.pi ** 2 / 18, abs=1e-6),
     lambda: [(d, r) for d, r, _ in lambda_table(2)] == [(2, 2)],
+    lambda: g(2, np.float32(0.5)) == g(2, 0.5),
+    lambda: beta(2, np.float32(0.5)) == beta(2, 0.5),
+    lambda: lambda_constant(2, 2, QuadratureSettings(np.float32(1e-6)))
+    == lambda_constant(2, 2, QuadratureSettings(float(np.float32(1e-6)))),
+    lambda: g(np.int64(2), 0.5) == g(2, 0.5),
+    lambda: g(FLOAT_MAX, 2) == 0.0,
+    lambda: EventSpec("long_span", STAR, long_threshold=-sys.float_info.max).long_threshold < 0,
 ], ids=["structure-ones", "star-ell-zero", "p-zero", "p-one", "wilson-one-trial",
         "wilson-2**64-trials", "index-zero", "one-trial", "lgap-ell-m-zero",
         "uniform-t-one", "crossing-axis-d", "semi-crossing-axis-d", "double-gap-axis-ndim",
         "rectangle-length-one", "component-length-one", "beta-k-edges", "g-edges",
-        "l_exact-edges", "lambda-r-two", "lambda_table-two"])
+        "l_exact-edges", "lambda-r-two", "lambda_table-two", "g-z-float32", "beta-u-float32",
+        "abs_tol-float32", "g-k-int64", "g-k-past-int-z", "long-threshold-finite"])
 def test_values_on_the_edge_of_their_range_are_accepted(holds):
+    # Under -W error a float32 z or abs_tol raised "overflow encountered in
+    # cast", and g(FLOAT_MAX, 2) with an integer z an OverflowError.
     assert holds()
 
 
