@@ -43,8 +43,10 @@ class QuadratureSettings:
     abs_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not check_number(self.abs_tol, "abs_tol", hi=_FLOAT_MAX) > 0:
-            raise DomainError(f"abs_tol must be positive, not {shown(self.abs_tol)}")
+        abs_tol = check_number(self.abs_tol, "abs_tol", hi=_FLOAT_MAX)
+        if not abs_tol > 0:
+            raise DomainError(f"abs_tol must be positive, not {shown(abs_tol)}")
+        object.__setattr__(self, "abs_tol", abs_tol)
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -109,8 +111,8 @@ def l_exact(ell: int, m: int, u: float) -> float:
     polynomial x^2 = b x + c is ``beta(ell + 1, u)``, so L_m decays like
     beta(ell + 1, u)^m.
     """
-    check_number(ell, "ell", numbers.Integral, 0, _FLOAT_MAX)
-    check_number(m, "m", numbers.Integral, -1)
+    ell = check_number(ell, "ell", numbers.Integral, 0, _FLOAT_MAX)
+    m = check_number(m, "m", numbers.Integral, -1)
     u = check_probability(u, "u")
     if m <= 0:
         return 1.0
@@ -156,7 +158,7 @@ def lambda_constant(d: int, r: int,
     r = check_number(r, "r", numbers.Integral, 2, d)
     a_exp = float(d - r + 1)
     kk = r - 1
-    tol = float(settings.abs_tol)  # a float32 tolerance gives the float64 answer
+    tol = settings.abs_tol
     tiny = sys.float_info.min
 
     def f(z: float) -> float:

@@ -173,7 +173,7 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     of the box's arity; those outside the box are ignored, and the rest
     become a CellSet of the grid up to ``box.hi``.
     """
-    check_number(t, "t", numbers.Integral, 1)
+    t = check_number(t, "t", numbers.Integral, 1)
     if min(box.lo, default=1) < 1:
         raise DomainError("box coordinates must be >= 1")
     check_sides(box.hi)

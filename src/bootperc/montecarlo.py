@@ -9,12 +9,12 @@ and initial set.  The estimators draw the same sets in blocks of trials
 vertices a block's Philox words are computed for all its trials at once
 (``_philox_words``, since Philox is counter based); on a larger one a Philox
 bit generator is re-keyed to (master seed, t) for each trial t.  A block is
-evaluated at once by ``EventSpec.count``, the one dispatch over event kinds;
-``EventSpec.evaluate`` is its form for one initial set.  Every estimator
-turns raw Philox words into indicators by one uniform rule (``_hits``) and
-draws blocks of at most ``BLOCK_VERTICES`` words; ``estimate_lgap`` reads
-trial t at its fixed position in one stream, so no estimate depends on the
-block size.
+evaluated at once by ``EventSpec.holds``, the one dispatch over event kinds,
+which answers for each row; ``EventSpec.evaluate`` is its form for one
+initial set.  Every estimator turns raw Philox words into indicators by one
+uniform rule (``_hits``) and draws blocks of at most ``BLOCK_VERTICES``
+words; ``estimate_lgap`` reads trial t at its fixed position in one stream,
+so no estimate depends on the block size.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ class EventSpec:
                 raise DomainError(f"a {self.kind} event requires a {name}")
         if self.long_threshold is not None:
             big = sys.float_info.max  # finite, since JSON and CSV have no Infinity
-            check_number(self.long_threshold, "length threshold", lo=-big, hi=big)
+            threshold = check_number(self.long_threshold, "length threshold", lo=-big, hi=big)
+            object.__setattr__(self, "long_threshold", threshold)
         # The event rules live in dynamics and structures; applied here, a
         # bad event is refused when it is built, before any trial.
         if self.kind == SEMI_PERCOLATES:
@@ -132,33 +133,31 @@ class EventSpec:
         elif self.rectangle is not None:
             check_rectangle(spec, self.rectangle)
 
-    def count(self, masks: np.ndarray) -> int:
-        """Rows of a block of initial sets, shape ``(B, *shape)``, on which
-        the event holds.  This is the only place the kinds are told apart,
-        and every kind decides the whole block at once.
+    def holds(self, masks: np.ndarray) -> np.ndarray:
+        """The event on each row of a block of initial sets of shape
+        ``(B, *shape)``, as a length-B bool array.  This is the only place
+        the kinds are told apart, and every kind decides the whole block at
+        once.  The empty span's longest side is 0.
         """
         spec = self.structure
         if self.kind == PERCOLATES:
-            hits = percolates_batch(spec, masks)
-        elif self.kind == SEMI_PERCOLATES:
-            hits = semi_percolates_batch(spec, masks)
-        elif self.kind == CROSSED:
-            hits = crossed_batch(spec, self.rectangle, masks, self.direction or LEFT_TO_RIGHT)
-        elif self.kind == SEMI_CROSSED:
-            hits = semi_crossed_batch(spec, self.rectangle, masks, self.axis or 1)
-        else:
-            boxes = span_boxes_batch(spec, masks)
-            if self.kind == SPANS:
-                return len({box[0].start for box in boxes if box[1:] == self.rectangle.slices})
-            rows = np.array([box[0].start for box in boxes], dtype=np.intp)
-            longest = np.zeros(len(masks), dtype=np.int64)
-            np.maximum.at(longest, rows, [max(s.stop - s.start for s in box[1:]) for box in boxes])
-            hits = longest >= self.long_threshold
-        return int(hits.sum())
+            return percolates_batch(spec, masks)
+        if self.kind == SEMI_PERCOLATES:
+            return semi_percolates_batch(spec, masks)
+        if self.kind == CROSSED:
+            return crossed_batch(spec, self.rectangle, masks, self.direction or LEFT_TO_RIGHT)
+        if self.kind == SEMI_CROSSED:
+            return semi_crossed_batch(spec, self.rectangle, masks, self.axis or 1)
+        held = np.full(len(masks), self.kind == LONG_SPAN and self.long_threshold <= 0)
+        for box in span_boxes_batch(spec, masks):
+            if (box[1:] == self.rectangle.slices if self.kind == SPANS
+                    else max(s.stop - s.start for s in box[1:]) >= self.long_threshold):
+                held[box[0]] = True
+        return held
 
     def evaluate(self, cells: CellSet) -> bool:
-        """The event on one initial set: ``count`` at B = 1."""
-        return bool(self.count(cells.mask[None]))
+        """The event on one initial set: ``holds`` at B = 1."""
+        return bool(self.holds(cells.mask[None])[0])
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -209,8 +208,8 @@ def _estimate(successes: int, trials: int, master_seed: int) -> Estimate:
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """The Wilson 95% interval of ``successes``, an integer in [0, trials], out of ``trials``."""
-    check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
-    check_number(successes, "successes", numbers.Integral, 0, trials)
+    trials = check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
+    successes = check_number(successes, "successes", numbers.Integral, 0, trials)
     z, phat = _Z95, successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -241,7 +240,7 @@ def sample_bin(region, p: float, rng: np.random.Generator) -> CellSet:
     """Bin(region, p): include each vertex independently with probability p,
     one uniform per vertex in canonical order.
     """
-    check_probability(p, "p")
+    p = check_probability(p, "p")
     shape = region.shape if isinstance(region, (StructureSpec, CellSet)) else check_sides(region)
     return CellSet.from_mask(rng.random(shape) < p)
 
@@ -317,7 +316,7 @@ def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
     trials at once (``_philox_words``); otherwise one Philox bit generator is
     re-keyed to (master_seed, t) with a zero counter for each trial.
     """
-    check_probability(p, "p")
+    p = check_probability(p, "p")
     size = spec.num_vertices
     step = max(1, BLOCK_VERTICES // size)
     seed_word = _seed_word(master_seed)
@@ -346,11 +345,11 @@ def estimate_event_prob(event: EventSpec, p: float, trials: int,
 
     Trial t evaluates the event on
     ``sample_bin(spec, p, trial_rng(master_seed, t))``; the trials are drawn
-    and evaluated in blocks (``sample_blocks``, ``EventSpec.count``), which
-    gives the same count.
+    in blocks (``sample_blocks``), and the count of successes is the sum of
+    ``EventSpec.holds`` over them.
     """
-    check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
-    successes = sum(event.count(block)
+    trials = check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
+    successes = sum(int(event.holds(block).sum())
                     for block in sample_blocks(event.structure, p, master_seed, trials))
     return _estimate(successes, trials, master_seed)
 
@@ -374,7 +373,7 @@ def estimate_p_alpha(spec: StructureSpec, event, alpha: float,
         raise DomainError("alpha must lie in (0, 1)")
     if not check_number(p_tol, "p_tol") > 0.0:
         raise DomainError("p_tol must be positive")
-    check_number(trials_per_eval, "trials", numbers.Integral, 1, _KEY_WORDS)
+    trials_per_eval = check_number(trials_per_eval, "trials", numbers.Integral, 1, _KEY_WORDS)
     _seed_word(seed)
     if not isinstance(event, EventSpec):
         event = EventSpec(event, spec)
@@ -401,10 +400,10 @@ def estimate_lgap(ell: int, m: int, u: float, trials: int, master_seed: int) -> 
     of ``Philox(key=master_seed)`` through ``_hits``: m+1 primary indicators,
     then ell rows of m secondary ones, so it is fixed by its stream position.
     """
-    check_number(ell, "ell", numbers.Integral, 0)
-    check_number(m, "m", numbers.Integral, 0)
-    check_probability(u, "u")
-    check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
+    ell = check_number(ell, "ell", numbers.Integral, 0)
+    m = check_number(m, "m", numbers.Integral, 0)
+    u = check_probability(u, "u")
+    trials = check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
     width = (m + 1) + ell * m
     if width > MAX_VERTICES:
         raise DomainError(f"an lgap trial of (m + 1) + ell * m words is wider than {MAX_VERTICES}")
@@ -429,7 +428,8 @@ class SweepPoint:
     def __post_init__(self) -> None:
         _check_event_structure(self.event, self.structure)
         object.__setattr__(self, "p", check_probability(self.p, "p"))
-        check_number(self.trials, "trials", numbers.Integral, 1, _KEY_WORDS)
+        object.__setattr__(self, "trials",
+                           check_number(self.trials, "trials", numbers.Integral, 1, _KEY_WORDS))
 
 
 @dataclass(frozen=True)
@@ -442,7 +442,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.points:
             raise DomainError("sweep grid must be nonempty")
-        check_number(self.master_seed, "masterSeed", numbers.Integral)
+        object.__setattr__(self, "master_seed",
+                           check_number(self.master_seed, "masterSeed", numbers.Integral))
 
     @staticmethod
     def from_json(obj: dict) -> "SweepConfig":

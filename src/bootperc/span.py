@@ -73,17 +73,16 @@ class _Piece:
     """One piece of the merge algorithm: a subset of A, kept as its closure
     ``closed`` (a mask).  ``start`` is the subset, or the union of the
     closures of the pieces merged, whose closure is the same and takes fewer
-    rounds.  The pair tests read int bitsets: ``proj`` the projected closure,
-    ``near`` that grown by one step and ``reach`` the closure grown by one."""
+    rounds.  The pair tests read int bitsets: ``proj`` the projected closure
+    and ``near`` that grown by one step."""
 
-    __slots__ = ("closed", "proj", "near", "rect", "reach")
+    __slots__ = ("closed", "proj", "near", "rect")
 
     def __init__(self, spec: StructureSpec, start: np.ndarray):
         self.closed = closure_batch(spec, start[None])[0]
         proj = self.closed.any(axis=tuple(range(spec.d, self.closed.ndim)))
         self.proj = _bits(proj)
         self.near = _bits(_dilate(proj))
-        self.reach = _bits(_dilate(self.closed))
         self.rect = _rectangle(label_boxes(proj[None].view(np.int8))[0])
 
 
@@ -96,10 +95,11 @@ def span_main_algorithm(spec: StructureSpec, cells: CellSet) -> SpanResult:
     closures.  The output rectangles equal span_direct's; the creation log
     records every piece rectangle ever formed.
 
-    Step (b) tries only subsets in which two pieces' ``reach`` meet, and
+    Step (b) tries only subsets in which two pieces' ``near`` meet, and
     loses nothing by it: each piece's closure is closed, so the first cell
     that a joint closure adds beyond their union has neighbours in two
-    pieces' closures, and lies in both pieces' ``reach``.
+    pieces' closures.  A neighbour's shadow (projection) is the cell's own
+    or next to it, so the cell's shadow lies in both pieces' ``near``.
     """
     check_shape(spec, cells.shape)
     # Singletons in canonical (flat) order.
@@ -130,7 +130,7 @@ def span_main_algorithm(spec: StructureSpec, cells: CellSet) -> SpanResult:
             for t in range(2, max_t + 1):
                 for subset in itertools.combinations(range(len(pieces)), t):
                     if not any(
-                        pieces[i].reach & pieces[j].reach
+                        pieces[i].near & pieces[j].near
                         for i, j in itertools.combinations(subset, 2)
                     ):
                         continue
@@ -151,14 +151,14 @@ def internally_spans(spec: StructureSpec, rect: Rectangle, cells: CellSet) -> bo
     """True iff A's cells inside R alone span R, i.e. R is in <A cap R>."""
     check_shape(spec, cells.shape)
     inside = cells.mask & rect.cells(spec).mask
-    return rect in map(_rectangle, span_boxes_batch(spec, inside[None]))
+    return any(box[1:] == rect.slices for box in span_boxes_batch(spec, inside[None]))
 
 
 def find_spanned_rectangle(spec: StructureSpec, cells: CellSet, length: int) -> Rectangle | None:
     """A rectangle internally spanned by A with length <= long <= 2*length,
     taken from the merge algorithm's creation log; None if none was created.
     """
-    check_number(length, "target length", numbers.Integral, 1)
+    length = check_number(length, "target length", numbers.Integral, 1)
     result = span_main_algorithm(spec, cells)
     for rect in result.creation_log:
         if length <= rect.long <= 2 * length:
@@ -182,7 +182,7 @@ def find_spanned_component(spec: StructureSpec, cells: CellSet, length: int) -> 
     since the previous state, where it failed that test, so after the first
     state only the new cell's component is tested.
     """
-    check_number(length, "target length", numbers.Integral, 1)
+    length = check_number(length, "target length", numbers.Integral, 1)
     check_shape(spec, cells.shape)
 
     nbrs, size = grid_tables(spec.shape)

@@ -79,7 +79,7 @@ def check_number(value, name: str, kind=numbers.Real, lo=None, hi=None):
         if isinstance(value, bool) or not isinstance(value, kind) or value != value:
             noun = "an integer" if kind is numbers.Integral else "a number"
             raise DomainError(f"{name} must be {noun}, not {value!r}")
-        if kind is numbers.Integral:
+        if kind is numbers.Integral or isinstance(value, np.integer):
             value = operator.index(value)
         elif isinstance(value, np.floating):
             value = float(value)  # a float32 would cast a float64 bound and overflow

@@ -185,10 +185,12 @@ def mpmath_lambda(d, r):
         return float(mpmath.quad(f, [0, 0.5, 0.9, 1, 1.1, 2, mpmath.inf]))
 
 
-@pytest.mark.parametrize("d,r", [(14, 2), (20, 2), (40, 2), (40, 20)])
+@pytest.mark.parametrize("d,r", [(14, 2), (20, 2), (40, 2), (40, 20), (300, 2)])
 def test_lambda_of_large_exponent_matches_mpmath_oracle(d, r):
     # The integrand is g(r-1, z^(d-r+1)), whose argument leaves the float
-    # range at both ends when d - r + 1 is large.
+    # range at both ends when d - r + 1 is large.  At d = 300, z^299
+    # overflows a float past z = 10.7, inside the upper panel, and lambda is
+    # close to (d - 1) / 2, the integral of -log(z^299) / 2 over (0, 1).
     assert lambda_constant(d, r) == pytest.approx(mpmath_lambda(d, r), abs=1e-8)
 
 

@@ -60,6 +60,10 @@ def test_lambda_table_command(capsys, tmp_path):
     with open(out_file) as handle:
         rows = list(csv.DictReader(handle))
     assert [(r["d"], r["r"]) for r in rows] == [("2", "2"), ("3", "2"), ("3", "3")]
+    # Without --out the same CSV goes to stdout, after the config line.
+    code, out, _ = run(capsys, "lambda-table", "--dmax", "3")
+    assert code == 0
+    assert out.split("\n", 1)[1] == out_file.read_text()
 
 
 def test_lgap_exact_and_mc(capsys):
@@ -145,6 +149,12 @@ def test_estimate_command(capsys, tmp_path):
     assert code == 0
     assert "seed=9" in out
     assert "pHat=" in out
+    # The config line names an event with fields by its JSON.
+    code, out, _ = run(capsys, "estimate", "--event", "long-span", "--long-threshold", "2",
+                       "--structure", str(struct), "--p", "0.5", "--trials", "20", "--seed", "9")
+    assert code == 0
+    event = re.search(r"event=(\{.*?\}) structure=", out).group(1)
+    assert json.loads(event) == {"kind": "long_span", "longThreshold": 2.0}
 
 
 def test_threshold_command(capsys, tmp_path):
@@ -174,6 +184,11 @@ def test_sweep_command(capsys, tmp_path):
     with open(out_file) as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 1 and rows[0]["event"] == "percolates"
+    # An output path that cannot be opened is an I/O error.
+    code, _, err = run(capsys, "sweep", "--config", str(cfg),
+                       "--out", str(tmp_path / "missing" / "rows.csv"))
+    assert code == 3
+    assert "cannot open sweep output" in err
 
 
 def assert_clean_config_error(code, out, err):
@@ -378,9 +393,14 @@ def test_structure_over_axis_budget_is_config_error(capsys, tmp_path, command, d
     ["estimate", "--event", "long-span", "--structure", "S", "--long-threshold", "inf",
      "--p", "0.3", "--trials", "5", "--seed", "1"],
     ["g", "--k", "2", "--z", "inf"],
+    ["estimate", "--event", "spans", "--rect", "1,a", "--structure", "S",
+     "--p", "0.3", "--trials", "5", "--seed", "1"],
+    ["estimate", "--event", "spans", "--rect", "1,2,3", "--structure", "S",
+     "--p", "0.3", "--trials", "5", "--seed", "1"],
 ], ids=["lgap-trial-over-budget", "threshold-no-trials", "long-threshold-nan",
         "beta-k-past-float", "lgap-ell-past-float", "lambda-d-past-float",
-        "lambda-table-dmax-past-float", "long-threshold-inf", "g-z-inf"])
+        "lambda-table-dmax-past-float", "long-threshold-inf", "g-z-inf", "rect-not-integer",
+        "rect-odd-count"])
 def test_number_outside_its_rule_is_config_error(capsys, tmp_path, argv):
     # The lgap trial asked numpy for 7.28 TiB; the next two exited 0, with
     # totalTrials=0 and with pHat=0; the next two printed an OverflowError's

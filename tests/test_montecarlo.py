@@ -136,6 +136,10 @@ def test_event_evaluate_spans_and_long_span():
     assert not EventSpec("spans", spec, Rectangle((1, 1), (6, 6))).evaluate(a)
     assert EventSpec("long_span", spec, long_threshold=3).evaluate(a)
     assert not EventSpec("long_span", spec, long_threshold=4).evaluate(a)
+    # The empty span's longest side is 0.
+    empty = CellSet(spec.shape)
+    assert EventSpec("long_span", spec, long_threshold=0).evaluate(empty)
+    assert not EventSpec("long_span", spec, long_threshold=0.5).evaluate(empty)
 
 
 def test_estimate_event_prob_deterministic():
@@ -242,6 +246,21 @@ def test_sweep_rows_name_their_event(tmp_path):
     ]
     assert [EventSpec.from_json(json.loads(event), config.points[0].structure)
             for event in events] == [point.event for point in config.points]
+
+
+def test_sweep_of_numpy_integers_writes_the_rows_of_python_ints(tmp_path):
+    # With an int64 trial count pHat, ciLow and ciHigh were written as
+    # "np.float64(0.6)", since the estimate divided by the count as given.
+    spec = StructureSpec.plain(3, 2, 2)
+    event = EventSpec("percolates", spec)
+    texts = []
+    for trials, seed in ((10, 3), (np.int64(10), np.int64(3))):
+        config = SweepConfig((SweepPoint(spec, event, 0.5, trials),), seed)
+        assert type(config.points[0].trials) is int and type(config.master_seed) is int
+        run_sweep(config, str(tmp_path / "rows.csv"))
+        texts.append((tmp_path / "rows.csv").read_text())
+    assert texts[1] == texts[0]
+    assert "np." not in texts[0]
 
 
 # --- the blocked trial path against the per-trial reference -----------------
@@ -431,16 +450,17 @@ def reference_event(event, cells):
 @pytest.mark.parametrize("event,p", EVENT_CASES)
 def test_event_count_matches_definition_oracles(event, p):
     # Rows at densities from p/2 to 2p, and R infected in every other row,
-    # so that both outcomes occur.  The count of the first i + 1 rows less
-    # that of the first i is row i's, and an empty block counts 0.
+    # so that both outcomes occur.  Each row's answer is the oracle's, and an
+    # empty block gives an empty answer.
     spec = event.structure
     rng = np.random.default_rng([41, spec.n, spec.ell, round(1000 * p)])
     rows = rng.random((32,) + spec.shape) < rng.uniform(p / 2, 2 * p, (32,) + (1,) * len(spec.shape))
     if event.rectangle is not None:
         rows[::2][(slice(None),) + event.rectangle.slices] = True
-    want = [int(reference_event(event, CellSet.from_mask(row))) for row in rows]
-    counts = [event.count(rows[:i]) for i in range(len(rows) + 1)]
-    assert np.diff(counts, prepend=0).tolist() == [0] + want
+    want = [reference_event(event, CellSet.from_mask(row)) for row in rows]
+    held = event.holds(rows)
+    assert held.dtype == bool and held.tolist() == want
+    assert event.holds(rows[:0]).tolist() == []
     assert 0 < sum(want) < len(want)
 
 
@@ -524,6 +544,7 @@ WHOLE = Rectangle((1, 1), (4, 4))
     (lambda: g(2, math.nan), "z must be a number"),
     (lambda: EventSpec("long_span", STAR, long_threshold=math.inf),
      "length threshold = inf outside"),
+    (lambda: estimate_lgap(np.int64(2 ** 62), np.int64(4), 0.5, 10, 1), "wider than"),
 ], ids=["q_of_p-one", "wilson-above-trials", "wilson-negative", "beta-k-past-float",
         "g-z-past-float", "g-k-past-float", "l_exact-ell-past-float", "wilson-trials-past-float",
         "abs_tol-past-float", "trials-past-64-bits", "lambda-d-past-float",
@@ -531,14 +552,15 @@ WHOLE = Rectangle((1, 1), (4, 4))
         "structure-r-zero", "structure-ell-negative", "p_alpha-trials-past-64-bits",
         "lgap-m-negative", "double-gap-axis-zero", "component-length-zero",
         "l_exact-m-below-minus-one", "lambda-r-one", "g-z-inf", "g-z-float64-inf", "g-z-nan",
-        "long-threshold-inf"])
+        "long-threshold-inf", "lgap-width-past-int64"])
 def test_values_out_of_their_range_are_refused(make, message):
     # The two Wilson intervals died with a bare "math domain error", the
     # integers past a float with a bare OverflowError, QuadratureSettings
     # took 10**400, and 10**400 trials started a loop with no practical end,
     # as did the lambda table; lambda of a d past a float returned 0.0.
     # g(2, inf) returned 0.0 while g(2, np.float64(inf)) was refused, and an
-    # infinite length threshold was written to JSON as Infinity.
+    # infinite length threshold was written to JSON as Infinity.  An lgap
+    # width of numpy integers wrapped to 0 and passed the width budget.
     with pytest.raises(DomainError, match=message) as info:
         make()
     assert "\n" not in str(info.value)
@@ -572,15 +594,22 @@ def test_values_out_of_their_range_are_refused(make, message):
     lambda: g(np.int64(2), 0.5) == g(2, 0.5),
     lambda: g(FLOAT_MAX, 2) == 0.0,
     lambda: EventSpec("long_span", STAR, long_threshold=-sys.float_info.max).long_threshold < 0,
+    lambda: l_exact(np.int64(2 ** 63 - 1), 3, 0.5) == l_exact(2 ** 63 - 1, 3, 0.5) == 1.0,
+    lambda: json.dumps(EventSpec("long_span", STAR, long_threshold=np.float32(2.5)).to_json())
+    == '{"kind": "long_span", "longThreshold": 2.5}',
+    lambda: type(EventSpec("long_span", STAR, long_threshold=np.int64(3)).long_threshold) is int,
 ], ids=["structure-ones", "star-ell-zero", "p-zero", "p-one", "wilson-one-trial",
         "wilson-2**64-trials", "index-zero", "one-trial", "lgap-ell-m-zero",
         "uniform-t-one", "crossing-axis-d", "semi-crossing-axis-d", "double-gap-axis-ndim",
         "rectangle-length-one", "component-length-one", "beta-k-edges", "g-edges",
         "l_exact-edges", "lambda-r-two", "lambda_table-two", "g-z-float32", "beta-u-float32",
-        "abs_tol-float32", "g-k-int64", "g-k-past-int-z", "long-threshold-finite"])
+        "abs_tol-float32", "g-k-int64", "g-k-past-int-z", "long-threshold-finite",
+        "l_exact-ell-int64", "long-threshold-float32-json", "long-threshold-int64"])
 def test_values_on_the_edge_of_their_range_are_accepted(holds):
     # Under -W error a float32 z or abs_tol raised "overflow encountered in
-    # cast", and g(FLOAT_MAX, 2) with an integer z an OverflowError.
+    # cast", and g(FLOAT_MAX, 2) with an integer z an OverflowError.  l_exact
+    # of an int64 ell overflowed in ell + 1, and a numpy length threshold was
+    # kept as given, which JSON cannot write.
     assert holds()
 
 
