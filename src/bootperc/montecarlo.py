@@ -349,6 +349,7 @@ def estimate_event_prob(event: EventSpec, p: float, trials: int,
     ``EventSpec.holds`` over them.
     """
     trials = check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
+    master_seed = check_number(master_seed, "master seed", numbers.Integral)
     successes = sum(int(event.holds(block).sum())
                     for block in sample_blocks(event.structure, p, master_seed, trials))
     return _estimate(successes, trials, master_seed)
@@ -374,7 +375,7 @@ def estimate_p_alpha(spec: StructureSpec, event, alpha: float,
     if not check_number(p_tol, "p_tol") > 0.0:
         raise DomainError("p_tol must be positive")
     trials_per_eval = check_number(trials_per_eval, "trials", numbers.Integral, 1, _KEY_WORDS)
-    _seed_word(seed)
+    seed = check_number(seed, "master seed", numbers.Integral)
     if not isinstance(event, EventSpec):
         event = EventSpec(event, spec)
     _check_event_structure(event, spec)
@@ -404,6 +405,7 @@ def estimate_lgap(ell: int, m: int, u: float, trials: int, master_seed: int) -> 
     m = check_number(m, "m", numbers.Integral, 0)
     u = check_probability(u, "u")
     trials = check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
+    master_seed = check_number(master_seed, "master seed", numbers.Integral)
     width = (m + 1) + ell * m
     if width > MAX_VERTICES:
         raise DomainError(f"an lgap trial of (m + 1) + ell * m words is wider than {MAX_VERTICES}")

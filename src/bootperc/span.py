@@ -19,7 +19,7 @@ from .structures import (
     label_rows,
     threshold_table,
 )
-from .dynamics import closure, closure_batch
+from .dynamics import closure_batch
 
 
 @dataclass(frozen=True)
@@ -71,79 +71,74 @@ def _bits(mask: np.ndarray) -> int:
 
 class _Piece:
     """One piece of the merge algorithm: a subset of A, kept as its closure
-    ``closed`` (a mask).  ``start`` is the subset, or the union of the
-    closures of the pieces merged, whose closure is the same and takes fewer
-    rounds.  The pair tests read int bitsets: ``proj`` the projected closure
-    and ``near`` that grown by one step."""
+    ``closed`` (a mask).  The pair tests read int bitsets: ``proj`` the
+    projected closure and ``near`` that grown by one step."""
 
     __slots__ = ("closed", "proj", "near", "rect")
 
-    def __init__(self, spec: StructureSpec, start: np.ndarray):
-        self.closed = closure_batch(spec, start[None])[0]
-        proj = self.closed.any(axis=tuple(range(spec.d, self.closed.ndim)))
+    def __init__(self, spec: StructureSpec, closed: np.ndarray):
+        self.closed = closed
+        proj = closed.any(axis=tuple(range(spec.d, closed.ndim)))
         self.proj = _bits(proj)
         self.near = _bits(_dilate(proj))
         self.rect = _rectangle(label_boxes(proj[None].view(np.int8))[0])
 
 
+def _next_merge(spec: StructureSpec,
+                pieces: list[_Piece]) -> tuple[tuple[int, ...], np.ndarray] | None:
+    """The next merge of ``span_main_algorithm`` as ``(indices, closed)``,
+    ``closed`` the closure of the union of those pieces; None if none is left.
+
+    Operation (a) is the first pair of pieces whose projected closures
+    touch.  Operation (b), tried when no pair touches, is the first subset of
+    least size (at most r + ell) whose joint closure exceeds the union of its
+    pieces.  It tries only subsets in which every two pieces' ``near`` meet,
+    and loses nothing by it.  Let c be the first cell that the joint closure
+    of a least growing subset adds.  The pieces that hold c's neighbours add
+    c by themselves, so they grow too, and as the subset is least (a single
+    piece is closed, so it never grows) they are all of it.  So c has a
+    neighbour in every piece.  A neighbour's shadow (projection) is c's own
+    or next to it, so c's shadow lies in every piece's ``near``.
+    """
+    def joint(indices: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        union = np.logical_or.reduce([pieces[i].closed for i in indices])
+        return union, closure_batch(spec, union[None])[0]
+
+    for i, j in itertools.combinations(range(len(pieces)), 2):
+        if pieces[i].near & pieces[j].proj:
+            return (i, j), joint((i, j))[1]
+    for t in range(2, min(spec.r + spec.ell, len(pieces)) + 1):
+        for subset in itertools.combinations(range(len(pieces)), t):
+            # A list, not a generator: closing a generator that all() leaves
+            # early costs more than the pair tests.
+            pairs = itertools.combinations(subset, 2)
+            if all([pieces[i].near & pieces[j].near for i, j in pairs]):
+                union, closed = joint(subset)
+                if not np.array_equal(union, closed):
+                    return subset, closed
+    return None
+
+
 def span_main_algorithm(spec: StructureSpec, cells: CellSet) -> SpanResult:
     """Compute <A> by merging pieces.
 
-    Starts from singletons and repeatedly (a) merges two pieces whose
-    projected closures touch, else (b) merges a minimal-size subset of
-    pieces whose joint closure strictly exceeds the union of their
-    closures.  The output rectangles equal span_direct's; the creation log
-    records every piece rectangle ever formed.
-
-    Step (b) tries only subsets in which two pieces' ``near`` meet, and
-    loses nothing by it: each piece's closure is closed, so the first cell
-    that a joint closure adds beyond their union has neighbours in two
-    pieces' closures.  A neighbour's shadow (projection) is the cell's own
-    or next to it, so the cell's shadow lies in both pieces' ``near``.
+    Starts from singletons and applies ``_next_merge`` until none is left:
+    (a) merge two pieces whose projected closures touch, else (b) merge a
+    minimal-size subset of pieces whose joint closure strictly exceeds the
+    union of their closures.  The merged piece goes to the end of the list.
+    The output rectangles equal span_direct's; the creation log records
+    every piece rectangle ever formed.
     """
     check_shape(spec, cells.shape)
     # Singletons in canonical (flat) order.
     flat_ids = np.arange(cells.mask.size).reshape(cells.shape)
-    pieces = [_Piece(spec, flat_ids == v) for v in np.flatnonzero(cells.mask)]
-    log: list[Rectangle] = [p.rect for p in pieces]
-
-    def union(indices: tuple[int, ...]) -> np.ndarray:
-        return np.logical_or.reduce([pieces[i].closed for i in indices])
-
-    def merge(indices: tuple[int, ...]) -> None:
-        new = _Piece(spec, union(indices))
-        for i in sorted(indices, reverse=True):
-            del pieces[i]
-        pieces.append(new)
-        log.append(new.rect)
-
-    while len(pieces) > 1:
-        action = None
-        # Operation (a): merge two pieces with touching projected closures.
-        for i, j in itertools.combinations(range(len(pieces)), 2):
-            if pieces[i].near & pieces[j].proj:
-                action = (i, j)
-                break
-        if action is None:
-            # Operation (b): minimal t-subset whose joint closure grows.
-            max_t = min(spec.r + spec.ell, len(pieces))
-            for t in range(2, max_t + 1):
-                for subset in itertools.combinations(range(len(pieces)), t):
-                    if not any(
-                        pieces[i].near & pieces[j].near
-                        for i, j in itertools.combinations(subset, 2)
-                    ):
-                        continue
-                    joint = closure(spec, CellSet.from_mask(union(subset)))
-                    if len(joint) > sum(pieces[i].closed.sum() for i in subset):
-                        action = subset
-                        break
-                if action is not None:
-                    break
-        if action is None:
-            break
-        merge(action)
-
+    pieces = [_Piece(spec, closure_batch(spec, (flat_ids == v)[None])[0])
+              for v in np.flatnonzero(cells.mask)]
+    log = [p.rect for p in pieces]
+    while (merge := _next_merge(spec, pieces)) is not None:
+        indices, closed = merge
+        pieces = [p for i, p in enumerate(pieces) if i not in indices] + [_Piece(spec, closed)]
+        log.append(pieces[-1].rect)
     return SpanResult(tuple(p.rect for p in pieces), tuple(log))
 
 

@@ -19,7 +19,9 @@ from bootperc.dynamics import (
     TOP_TO_BOTTOM,
     CrossDirection,
     closure,
+    closure_batch,
     closure_uniform,
+    crossed_batch,
     has_double_gap,
     is_crossed,
     is_semi_crossed,
@@ -374,3 +376,54 @@ def test_is_semi_crossed_matches_definition_oracle(spec, axis):
         assert got == semi_crossed_oracle(spec, rect, cells, axis), (rect, cells.coords())
         outcomes.append(got)
     assert len(set(outcomes)) == 2
+
+
+# --- exact identities, with no reference engine -------------------------------
+
+# 64-row blocks; plain(12, 2, 2)'s block has fewer than 2**14 cells, so
+# _close runs its small-block rounds there and its wide and narrow rounds on
+# the others.
+SYMMETRY_SPECS = [
+    StructureSpec.plain(40, 2, 2),
+    StructureSpec.slab(16, 2, 1, 3, 2),
+    StructureSpec.star(16, 2, 1, 2),
+    StructureSpec.plain(10, 3, 3),
+    StructureSpec.plain(64, 2, 2),
+    StructureSpec.plain(12, 2, 2),
+]
+
+
+@pytest.mark.parametrize("spec", SYMMETRY_SPECS, ids=lambda s: s.family + str(s.shape))
+def test_closure_batch_commutes_with_symmetries_and_row_order(spec):
+    rng = np.random.default_rng([41, spec.n, spec.d, spec.ell])
+    density = rng.uniform(0.0, 0.2, (64,) + (1,) * len(spec.shape))
+    masks = rng.random((64,) + spec.shape) < density
+    closed = closure_batch(spec, masks)
+    rows = tuple(range(1, masks.ndim))
+    # Some rows grow without filling the grid, so no identity holds trivially.
+    assert ((closed != masks).any(axis=rows) & ~closed.all(axis=rows)).any()
+    moves = [lambda m: m[:, ::-1], lambda m: np.swapaxes(m, 1, 2)]
+    if spec.family == "slab":
+        moves.append(lambda m: np.flip(m, spec.d + 1))  # the thickness axis
+    for move in moves:
+        assert np.array_equal(closure_batch(spec, move(masks)), move(closed))
+    for i in range(len(masks)):
+        assert np.array_equal(closure_batch(spec, masks[i:i + 1])[0], closed[i])
+    order = rng.permutation(len(masks))
+    assert np.array_equal(closure_batch(spec, masks[order]), closed[order])
+
+
+def test_crossing_commutes_with_reflection_and_transposition():
+    spec = StructureSpec.slab(16, 2, 1, 3, 2)
+    rect = Rectangle((2, 4), (11, 13))
+    reflected = Rectangle((spec.n + 1 - rect.hi[0], rect.lo[1]),
+                          (spec.n + 1 - rect.lo[0], rect.hi[1]))
+    transposed = Rectangle(rect.lo[::-1], rect.hi[::-1])
+    for p in (0.03, 0.05, 0.08):
+        masks = np.random.default_rng([43, round(100 * p)]).random((200,) + spec.shape) < p
+        crossed = crossed_batch(spec, rect, masks, LEFT_TO_RIGHT)
+        assert 0 < crossed.sum() < len(masks)
+        assert np.array_equal(
+            crossed_batch(spec, reflected, masks[:, ::-1], RIGHT_TO_LEFT), crossed)
+        assert np.array_equal(
+            crossed_batch(spec, transposed, np.swapaxes(masks, 1, 2), BOTTOM_TO_TOP), crossed)

@@ -90,6 +90,24 @@ def test_seeds_are_taken_modulo_2_to_the_64(seed, same):
     assert estimate_lgap(2, 6, 0.3, 500, seed).p_hat == estimate_lgap(2, 6, 0.3, 500, same).p_hat
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda seed: estimate_event_prob(EventSpec("percolates", StructureSpec.plain(3, 2, 2)),
+                                     0.5, 10, seed),
+    lambda seed: estimate_p_alpha(StructureSpec.plain(3, 2, 2), "percolates", 0.5, 10, seed,
+                                  0.25),
+    lambda seed: estimate_lgap(1, 3, 0.5, 10, seed),
+], ids=["event_prob", "p_alpha", "lgap"])
+@pytest.mark.parametrize("seed,kept", [(np.int64(3), 3), (np.uint64(3), 3),
+                                       (2 ** 64 + 3, 2 ** 64 + 3)],
+                         ids=["int64", "uint64", "past-2**64"])
+def test_estimates_keep_the_master_seed_as_a_python_int(estimate, seed, kept):
+    # A numpy seed was checked and kept as given, which JSON cannot write;
+    # the seed is kept whole, not modulo 2**64.
+    est = estimate(seed)
+    assert type(est.master_seed) is int and est.master_seed == kept
+    assert json.loads(json.dumps(est.master_seed)) == kept
+
+
 def test_sample_bin_reproducible():
     spec = StructureSpec.plain(5, 2, 2)
     a = sample_bin(spec, 0.4, trial_rng(1, 5))

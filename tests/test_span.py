@@ -293,6 +293,26 @@ def test_main_algorithm_equals_reference(spec, p, exhaustive):
             spec, a, exhaustive)
 
 
+# Three singletons, no two of which touch or grow, that jointly infect a
+# fourth cell: the run ends in one step-(b) merge of all three.
+@pytest.mark.parametrize("spec,cells,merged", [
+    (StructureSpec.plain(3, 3, 3), [(1, 2, 2), (2, 1, 2), (2, 2, 1)],
+     Rectangle((1, 1, 1), (2, 2, 2))),
+    (StructureSpec.star(5, 2, 1, 2), [(2, 3, 2), (4, 3, 2), (3, 2, 2)],
+     Rectangle((2, 2), (4, 3))),
+    (StructureSpec.slab(5, 2, 1, 3, 2), [(2, 3, 2), (4, 3, 2), (3, 2, 2)],
+     Rectangle((2, 2), (4, 3))),
+], ids=["plain", "star", "slab"])
+def test_main_algorithm_merges_a_three_piece_subset(spec, cells, merged):
+    a = CellSet(spec.shape, cells)
+    got = span_main_algorithm(spec, a)
+    singletons = tuple(Rectangle(c[:spec.d], c[:spec.d]) for c in sorted(cells))
+    assert got.creation_log == singletons + (merged,)
+    assert got.rectangles == (merged,)
+    assert (got.rectangles, got.creation_log) == reference_span_main_algorithm(
+        spec, a, exhaustive=True)
+
+
 def test_main_algorithm_equals_reference_on_a_full_closure():
     spec = StructureSpec.plain(20, 2, 2)
     rng = np.random.default_rng(8)
