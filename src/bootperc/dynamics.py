@@ -1,21 +1,30 @@
 """Closure computation and the percolation / crossing / gap predicates.
 
-One engine, ``_close``, computes every closure: of one grid (``closure``,
-``closure_uniform``), of a block of initial sets of shape ``(B, *shape)``
-(``closure_batch``) and of the local grids of the crossing events.  It keeps
-per-vertex counts of infected neighbours.  Every vertex enters the frontier
-at most once, and a round adds only the frontier's neighbours to the counts
-and tests only the cells they touch, so the cost is per touched cell.
-Blocks under 2**14 vertices, and rounds whose frontier is wide, take dense
-passes over the block instead: a bincount, or sums of the frontier's flat
-mask shifted along each axis and kept where ``grid_tables`` has a
-neighbour.  The fixed point is independent of update order, so each row of
-a block is the closure of that row.
+Two engines compute every closure, chosen in one place (``_closed_planes``)
+by the number of rows B of a block of initial sets ``(B, *shape)`` and the
+number of cells V of a grid:
 
-Each event is one ``*_batch`` predicate over the rows of a block, of which the
-per-trial event is the form at B = 1.  The crossing events close each row on
-one padded local grid: R plus a ghost layer, or plus a layer on each side.
-Each event's input rule is one function here, which ``EventSpec`` calls too.
+- A block of B > 1 rows of at most ``_PLANE_VERTICES`` cells goes to the
+  plane engine ``_close_planes`` (multi-spin coding): trial t is bit t % 64
+  of word t // 64, so a ``(V, W)`` uint64 array holds 64 * W trials, and a
+  round shifts the planes along each axis and updates every cell of every
+  trial at once.
+- One grid (B = 1: ``closure``, ``closure_uniform``, the per-trial events),
+  or a row of a larger grid, goes to the frontier engine ``_close``.  It
+  keeps per-vertex counts of infected neighbours; every vertex enters the
+  frontier at most once, and a round adds only the frontier's neighbours to
+  the counts and tests only the cells they touch, so the cost is per
+  touched cell.
+
+The fixed point is independent of update order, so each row of a block is
+the closure of that row whichever engine runs.  Each event is one
+``*_batch`` predicate over the rows of a block, of which the per-trial event
+is the form at B = 1.  The events read the closed planes: they AND-reduce
+them over the cells that must be infected and unpack one bit per row.  The
+crossing events close each row on one padded local grid: R plus a ghost
+layer, or plus a layer on each side; crossing is then a flood fill, a
+closure with threshold 1 by either engine.  Each event's input rule is one
+function here, which ``EventSpec`` calls too.
 """
 
 from __future__ import annotations
@@ -43,7 +52,6 @@ from .structures import (
     check_shape,
     check_sides,
     grid_tables,
-    label_rows,
     threshold_table,
 )
 
@@ -86,83 +94,187 @@ BOTTOM_TO_TOP = CrossDirection(2, False)
 TOP_TO_BOTTOM = CrossDirection(2, True)
 
 
-# Blocks of fewer vertices add each round's counts by a bincount of the
+# A grid of fewer vertices adds each round's counts by a bincount of the
 # frontier's neighbours: there np.unique's fixed cost per call is more than a
-# bincount over the block.
+# bincount over the grid.
 _SPARSE_MIN_VERTICES = 1 << 14
-# On a larger block, a round whose frontier may touch more than
-# 1/_DENSE_SHARE of the block adds shifted sums of the frontier's mask.
-_DENSE_SHARE = 8
+
+# A machine word of bit planes: bit t of word w is trial 64 * w + t.
+_WORD = 64
+_PLANE = np.dtype("<u8")
+_ONES = np.uint64(np.iinfo(np.uint64).max)
+
+# The plane engine closes blocks of grids of at most this many cells; a row
+# of a larger grid goes to the frontier engine.  Per trial near p_c on 2
+# cores, one block of 64 on planes against 16 grids by the frontier engine:
+# plain(128, 2, 2) 1.6 against 7.6 ms, plain(181, 2, 2) 4.5 against 10.5 ms,
+# plain(256, 2, 2) 22.5 against 17.5 ms.
+_PLANE_VERTICES = 1 << 15
 
 
-def _add_neighbours(counts: np.ndarray, mask: np.ndarray, shape: tuple[int, ...]) -> None:
-    """Adds to each cell of the flat uint8 block ``counts`` its number of
-    neighbours in the flat bool block ``mask``, both rows of grids of
-    ``shape`` laid end to end.  Along each axis the mask is shifted by the
-    axis's flat step and kept at the cells that have a neighbour on that
-    side in ``grid_tables``, so no count crosses a face or a row."""
+def _close(thresholds: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The frontier closure engine: closes one C-contiguous bool grid in
+    place and returns it.
+
+    ``thresholds`` is a ``(V,)`` uint8 array of the grid's cells; a cell with
+    threshold ``NEVER`` never joins, so it never counts either.  Each round
+    adds the frontier's contribution to the infected-neighbour counts, the
+    initial cells being the first frontier, and then tests only the cells it
+    touched.  The neighbours come from the cached ``grid_tables``.  A small
+    grid adds them by a bincount, a larger one at the cells they touch with
+    ``np.unique``, so there the cost is per touched cell, not per vertex and
+    round.
+    """
+    nbrs, size = grid_tables(grid.shape)
+    flat = grid.reshape(-1)
+    counts = np.zeros(size, dtype=np.uint8)
+    small = size < _SPARSE_MIN_VERTICES
+    frontier = flat.nonzero()[0]
+    remaining = size - frontier.size
+    while frontier.size and remaining:
+        touched = nbrs[frontier]
+        touched = touched[touched >= 0]
+        if small:
+            counts += np.bincount(touched, minlength=size).astype(np.uint8)
+            # Cells at their threshold and not yet infected: for bools,
+            # a > b is a & ~b in one step.
+            frontier = ((counts >= thresholds) > flat).nonzero()[0]
+        else:
+            cells, hits = np.unique(touched, return_counts=True)
+            counts[cells] += hits.astype(np.uint8)
+            cells = cells[~flat[cells]]
+            frontier = cells[counts[cells] >= thresholds[cells]]
+        flat[frontier] = True
+        remaining -= frontier.size
+    return grid
+
+
+def _pack(block: np.ndarray) -> np.ndarray:
+    """The bit planes of a bool block ``(B, *shape)``: a ``(V, W)`` uint64
+    array, W = ceil(B / 64), whose bit t % 64 of word t // 64 at cell v is
+    cell v of row t.  The bits past B are 0."""
+    rows, size = len(block), prod(block.shape[1:])
+    if rows == 1:  # bit 0 of one word a cell, without the padded copy
+        return block.reshape(size, 1).astype(_PLANE)
+    cells = np.zeros((size, -(-rows // _WORD) * _WORD), dtype=bool)
+    cells[:, :rows] = block.reshape(rows, size).T
+    return np.packbits(cells, axis=1, bitorder="little").view(_PLANE)
+
+
+def _unpack(planes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The bool block ``shape = (B, *grid)`` of the bit planes ``(V, W)``."""
+    if shape[0] == 1:  # unpackbits takes some 5 ns a cell for one bit
+        return (planes[:, 0] & np.uint64(1)).astype(bool).reshape(shape)
+    bits = np.unpackbits(planes.view(np.uint8).T, axis=0, count=shape[0], bitorder="little")
+    return bits.view(bool).reshape(shape)
+
+
+def _rows(planes: np.ndarray, rows: int, reduce=np.bitwise_and) -> np.ndarray:
+    """For each row t < ``rows``, whether bit t of the planes ``(..., W)`` is
+    set at every cell, or at some cell with ``reduce=np.bitwise_or``."""
+    words = reduce.reduce(planes.reshape(prod(planes.shape[:-1]), planes.shape[-1]), axis=0)
+    return np.unpackbits(words.view(np.uint8), count=rows, bitorder="little").view(bool)
+
+
+def _ones_on(cells: np.ndarray, words: int) -> np.ndarray:
+    """The planes ``(V, words)`` of all ones on the bool cells ``(V,)`` and 0
+    elsewhere.  Full planes, not broadcast ones: an operation that broadcasts
+    a column over a few words costs about four times as much."""
+    return np.repeat(np.where(cells, _ONES, np.uint64(0))[:, None], words, axis=1)
+
+
+def _joins(thresholds: np.ndarray, limit: int, words: int) -> list:
+    """The ``(t, M)`` pairs of ``_close_planes`` for a ``(V,)`` threshold
+    table and planes of ``words`` words: M is all ones on the cells of
+    threshold t and 0 elsewhere, or None where every cell has threshold t.  A
+    threshold above ``limit``, the largest neighbour count (so also
+    ``NEVER``), joins no M."""
+    joins = []
+    for t in np.unique(thresholds):
+        if t <= limit:
+            cells = thresholds == t
+            joins.append((int(t), None if cells.all() else _ones_on(cells, words)))
+    return joins
+
+
+def _close_planes(x: np.ndarray, shape: tuple[int, ...], joins: list) -> np.ndarray:
+    """The plane closure engine: closes the bit planes ``(V, W)`` of grids of
+    ``shape`` in place and returns them.
+
+    A round works on all 64 * W trials at once.  Along each axis it shifts
+    the planes one step down and one step up, keeping the cells that have a
+    neighbour on that side in ``grid_tables``; the two shifted planes give
+    the cells with at least one and with two infected neighbours along the
+    axis, and these update the running planes ``count[j]``: at least j + 1
+    infected neighbours along the axes so far.  Then ``x |= count[t - 1] &
+    M`` for each ``(t, M)`` of ``joins`` (M of the shape of x, or None for
+    all ones).  Rounds run four at a time until four change nothing.
+    """
     nbrs, size = grid_tables(shape)
-    rows, step = len(mask) // size, size
+    # Per axis: the planes of the lower and the upper neighbour, each 0 where
+    # there is none, with the views and neighbour masks that fill them.
+    axes, step = [], size
     for ax, length in enumerate(shape):
         step //= length  # the flat distance between neighbours along ax
         if length > 1:
-            down = np.tile(nbrs[:, 2 * ax] >= 0, rows)
-            up = np.tile(nbrs[:, 2 * ax + 1] >= 0, rows)
-            counts[step:] += mask[:-step] & down[step:]
-            counts[:-step] += mask[step:] & up[:-step]
+            low, high = np.zeros_like(x), np.zeros_like(x)
+            masks = [_ones_on(nbrs[cells, col] >= 0, x.shape[1])
+                     for cells, col in ((slice(step, None), 2 * ax), (slice(None, -step), 2 * ax + 1))]
+            axes.append((low, high, ((x[:-step], masks[0], low[step:]),
+                                     (x[step:], masks[1], high[:-step]))))
+    if not (joins and axes):
+        return x
+    top = max(t for t, _ in joins)
+    count = [np.empty_like(x) for _ in range(top)]
+    one, tmp, spare = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    while True:
+        before = x.copy()
+        for _ in range(4):
+            for i, (low, high, shifts) in enumerate(axes):
+                for source, mask, out in shifts:
+                    np.bitwise_and(source, mask, out=out)
+                # At least one and two neighbours along this axis; low is
+                # free once read, and its unfilled cells stay 0.
+                if i == 0:
+                    np.bitwise_or(low, high, out=count[0])
+                    if top > 1:
+                        np.bitwise_and(low, high, out=count[1])
+                    for plane in count[2:]:
+                        plane.fill(0)
+                    continue
+                np.bitwise_or(low, high, out=one)
+                two = np.bitwise_and(low, high, out=low) if top > 1 else None
+                for j in range(top - 1, 0, -1):
+                    np.bitwise_and(count[j - 1], one, out=tmp)
+                    tmp |= two if j == 1 else np.bitwise_and(count[j - 2], two, out=spare)
+                    count[j] |= tmp
+                count[0] |= one
+            for t, cells in joins:
+                x |= count[t - 1] if cells is None else np.bitwise_and(count[t - 1], cells, out=spare)
+        if np.array_equal(x, before):
+            return x
 
 
-def _close(thresholds: np.ndarray, infected: np.ndarray) -> np.ndarray:
-    """The frontier closure engine: closes a C-contiguous bool block
-    ``infected`` of shape ``(B, *shape)`` in place and returns it.
-
-    ``thresholds`` is a ``(V,)`` uint8 array for one grid of ``shape``,
-    shared by every row; a cell with threshold ``NEVER`` never joins, so it
-    never counts either.  Each round adds the frontier's contribution to the
-    infected-neighbour counts, the initial cells being the first frontier,
-    and then tests only the cells it touched.  The neighbours come from the
-    cached ``grid_tables`` with a row offset of ``row * V``.  A small block
-    adds them by a bincount; on a larger block, a narrow frontier adds them
-    at the cells it touches with ``np.unique`` and a wide one adds shifted
-    sums of its flat mask (``_add_neighbours``).  So the cost is per touched
-    cell, not per vertex and round, except on small blocks.
+def _closed_planes(thresholds: np.ndarray, block: np.ndarray, region=None) -> np.ndarray:
+    """The closure of every row of the C-contiguous bool block ``(B,
+    *shape)``, as bit planes ``(V, W)``: the engine rule.  With ``region``,
+    bit planes ``(V, W)`` of the block's rows, only the cells of a row's
+    region join.  A block of several rows of at most ``_PLANE_VERTICES``
+    cells is packed and closed by ``_close_planes``, which pays only on
+    whole words.  Any other block, one grid in particular, is closed in
+    place row by row by ``_close`` and packed.
     """
-    rows, shape = len(infected), infected.shape[1:]
-    nbrs, size = grid_tables(shape)
-    flat = infected.reshape(-1)
-    counts = np.zeros(flat.size, dtype=np.uint8)
-    # Views that broadcast the thresholds over the rows; 1-D for one row.
-    grid, flat_grid = (counts, flat) if rows == 1 else (counts.reshape(rows, size),
-                                                        flat.reshape(rows, size))
-    small = flat.size < _SPARSE_MIN_VERTICES
-    frontier = flat.nonzero()[0]
-    remaining = flat.size - frontier.size
-    while frontier.size and remaining:
-        if not small and frontier.size * nbrs.shape[1] * _DENSE_SHARE > flat.size:
-            mask = np.zeros(flat.size, dtype=bool)
-            mask[frontier] = True
-            _add_neighbours(counts, mask, shape)
-            # Cells at their threshold and not yet infected: for bools,
-            # a > b is a & ~b in one step.
-            frontier = ((grid >= thresholds) > flat_grid).ravel().nonzero()[0]
-        else:
-            vertex = frontier % size if rows > 1 else frontier
-            nb = nbrs[vertex]
-            valid = nb >= 0
-            if rows > 1:
-                nb += (frontier - vertex)[:, None]
-            touched = nb[valid]
-            if small:
-                counts += np.bincount(touched, minlength=flat.size).astype(np.uint8)
-                frontier = ((grid >= thresholds) > flat_grid).ravel().nonzero()[0]
-            else:
-                cells, hits = np.unique(touched, return_counts=True)
-                counts[cells] += hits.astype(np.uint8)
-                cells = cells[~flat[cells]]
-                frontier = cells[counts[cells] >= thresholds[cells % size]]
-        flat[frontier] = True
-        remaining -= frontier.size
-    return infected
+    rows, shape = len(block), block.shape[1:]
+    if rows > 1 and prod(shape) <= _PLANE_VERTICES:
+        planes = _pack(block)
+        joins = _joins(thresholds, 2 * len(shape), planes.shape[1])
+        if region is not None:
+            joins = [(t, region if cells is None else cells & region) for t, cells in joins]
+        return _close_planes(planes, shape, joins)
+    regions = [None] * rows if region is None else _unpack(region, (rows, prod(shape)))
+    for grid, inside in zip(block, regions):
+        _close(thresholds if inside is None else np.where(inside, thresholds, NEVER), grid)
+    return _pack(block)
 
 
 def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
@@ -184,13 +296,20 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     dims = box.dim
     if len(cells.shape) != len(dims):
         raise DomainError(f"cell set of shape {cells.shape} has wrong arity for the box")
-    infected = np.zeros((1,) + dims, dtype=bool)
+    infected = np.zeros(dims, dtype=bool)
     window = cells.mask[box.slices]
-    infected[(0,) + tuple(map(slice, window.shape))] = window
+    infected[tuple(map(slice, window.shape))] = window
     _close(np.full(prod(dims), min(t, NEVER), dtype=np.uint8), infected)
     out = CellSet(box.hi)
-    out.mask[box.slices] = infected[0]
+    out.mask[box.slices] = infected
     return out
+
+
+def _closed(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
+    """The closures of a block of initial sets of shape ``(B, *spec.shape)``
+    as bit planes ``(V, W)``; ``masks`` is not changed."""
+    check_shape(spec, masks.shape[1:])
+    return _closed_planes(threshold_table(spec), np.array(masks, dtype=bool, order="C"))
 
 
 def closure_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
@@ -199,7 +318,14 @@ def closure_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
     ``masks`` is not changed.
     """
     check_shape(spec, masks.shape[1:])
-    return _close(threshold_table(spec), np.array(masks, dtype=bool, order="C"))
+    block = np.array(masks, dtype=bool, order="C")
+    if len(block) == 1:
+        # One grid goes to the frontier engine, as in _closed_planes, but
+        # with no planes to pack and unpack: they cost the merge algorithm,
+        # which closes thousands of small grids, some 8% of its time.
+        _close(threshold_table(spec), block[0])
+        return block
+    return _unpack(_closed_planes(threshold_table(spec), block), block.shape)
 
 
 def closure(spec: StructureSpec, cells: CellSet) -> CellSet:
@@ -210,8 +336,7 @@ def closure(spec: StructureSpec, cells: CellSet) -> CellSet:
 def percolates_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
     """``percolates`` on every row of a block of initial sets of shape
     ``(B, *spec.shape)``, as a bool array of length B."""
-    closed = closure_batch(spec, masks)
-    return closed.all(axis=tuple(range(1, closed.ndim)))
+    return _rows(_closed(spec, masks), len(masks))
 
 
 def percolates(spec: StructureSpec, cells: CellSet) -> bool:
@@ -229,8 +354,8 @@ def semi_percolates_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
     """``semi_percolates`` on every row of a block of initial sets of shape
     ``(B, *spec.shape)``; the vertices of threshold r are the base layer."""
     check_semi_percolation(spec)
-    base = closure_batch(spec, masks)[(...,) + (0,) * spec.ell]
-    return base.all(axis=tuple(range(1, base.ndim)))
+    closed = _closed(spec, masks).reshape(spec.shape + (-1,))
+    return _rows(closed[(...,) + (0,) * spec.ell + (slice(None),)], len(masks))
 
 
 def semi_percolates(spec: StructureSpec, cells: CellSet) -> bool:
@@ -255,13 +380,15 @@ def check_semi_crossing(spec: StructureSpec, rect: Rectangle, axis: int) -> int:
 
 
 def _local_closure(spec: StructureSpec, infected: np.ndarray, region=True) -> np.ndarray:
-    """Closure of a block of local grids of spec, of any horizontal extent
-    and full thickness, in place.  Only cells of ``region`` (a bool mask of
+    """Closure of a C-contiguous block ``(B, *grid)`` of local grids of spec,
+    of any horizontal extent and full thickness, as bit planes ``(*grid,
+    W)``; ``infected`` is changed.  Only cells of ``region`` (a bool mask of
     one grid, default all) join: cells outside must start uninfected.
     """
     thresholds = np.tile(threshold_table(spec)[:spec.k ** spec.ell],
                          prod(infected.shape[1:spec.d + 1]))
-    return _close(np.where(np.ravel(region), thresholds, NEVER), infected)
+    closed = _closed_planes(np.where(np.ravel(region), thresholds, NEVER), infected)
+    return closed.reshape(infected.shape[1:] + (-1,))
 
 
 def crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
@@ -269,13 +396,14 @@ def crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
     """``is_crossed`` on every row of a block of initial sets of shape
     ``(B, *spec.shape)``, as a bool array of length B.
 
-    The local grid is R plus the ghost layer, kept infected through closure
-    and labelling.  The ghost layer is a box, so it lies in one component;
-    as the cells of R next to it form the entry face, that component holds
-    exactly the components of the closure within R that touch the entry
-    face.  So R is crossed iff its label is on the exit layer.  The first
-    cell of a row's local grid, or its last when reversed, is a ghost cell,
-    and no label spans two rows.
+    The local grid is R plus the ghost layer, kept infected through
+    closure.  The ghost layer is a box, so it lies in one nearest-neighbour
+    component of the closure; as the cells of R next to it form the entry
+    face, that component holds exactly the components of the closure within
+    R that touch the entry face.  It is found by a flood fill from the ghost
+    layer, ``reach |= shift(reach) & closed`` until it stops changing: a
+    closure with threshold 1 and each row's closure as its region.  So R is
+    crossed iff ``reach`` meets the exit layer.
     """
     check_shape(spec, masks.shape[1:])
     check_crossing(spec, rect, direction)
@@ -284,11 +412,13 @@ def crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
     pad = [(0, 0)] * masks.ndim
     pad[ax + 1] = (0, 1) if direction.reverse else (1, 0)
     infected = np.pad(masks[(slice(None),) + rect.slices], pad, constant_values=True)
-    labels, _ = label_rows(_local_closure(spec, infected))
-    exits = labels[(slice(None),) * (ax + 1) + (exit_,)]
-    ghosts = labels[(slice(None),) + (ghost,) * (labels.ndim - 1)]
-    crossed = exits == ghosts.reshape(ghosts.shape + (1,) * (exits.ndim - 1))
-    return crossed.any(axis=tuple(range(1, crossed.ndim)))
+    closed = _local_closure(spec, infected)
+    layer, grid = (slice(None),) * (ax + 1), infected.shape[1:]
+    reach = np.zeros_like(infected)
+    reach[layer + (ghost,)] = True
+    reached = _closed_planes(np.ones(prod(grid), dtype=np.uint8), reach,
+                             closed.reshape(prod(grid), -1))
+    return _rows(reached.reshape(closed.shape)[layer[1:] + (exit_,)], len(masks), np.bitwise_or)
 
 
 def is_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,
@@ -321,8 +451,8 @@ def semi_crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
     region[(slice(None),) * ax + (slice(1, -1),)] = True
     region[minus], region[plus] = rect.lo[ax] > 1, rect.hi[ax] < spec.n
     window[minus] = True
-    closed = _local_closure(spec, window & region, region)[inner]
-    return closed.all(axis=tuple(range(1, closed.ndim)))
+    closed = _local_closure(spec, window & region, region)
+    return _rows(closed[inner + (slice(None),)], len(masks))
 
 
 def is_semi_crossed(spec: StructureSpec, rect: Rectangle, cells: CellSet,

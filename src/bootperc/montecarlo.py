@@ -11,10 +11,11 @@ vertices a block's Philox words are computed for all its trials at once
 bit generator is re-keyed to (master seed, t) for each trial t.  A block is
 evaluated at once by ``EventSpec.holds``, the one dispatch over event kinds,
 which answers for each row; ``EventSpec.evaluate`` is its form for one
-initial set.  Every estimator turns raw Philox words into indicators by one
-uniform rule (``_hits``) and draws blocks of at most ``BLOCK_VERTICES``
-words; ``estimate_lgap`` reads trial t at its fixed position in one stream,
-so no estimate depends on the block size.
+initial set.  A block holds whole words of the closure engine's bit planes,
+64 * W trials (``_block_rows``).  Every estimator turns raw Philox words into
+indicators by one uniform rule (``_hits``) and draws at most
+``BLOCK_VERTICES`` words at a time; ``estimate_lgap`` reads trial t at its
+fixed position in one stream, so no estimate depends on the block size.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .structures import (
     check_sides,
 )
 from .dynamics import (
+    _PLANE_VERTICES,
     LEFT_TO_RIGHT,
     CrossDirection,
     check_crossing,
@@ -75,10 +77,23 @@ _FIELDS = {
     LONG_SPAN: ("long_threshold",),
 }
 
-# Raw words in one block of B >= 1 trials of W words each (W = |V| for an
-# initial set): B * W <= BLOCK_VERTICES.  A block's words (8 bytes each),
-# masks and closure arrays then take about 1 MiB, unless one trial is larger.
+# Raw words drawn at once for B >= 1 trials of W words each (W = |V| for an
+# initial set): B * W <= BLOCK_VERTICES, so they take at most 512 KiB unless
+# one trial is larger.
 BLOCK_VERTICES = 1 << 16
+
+# Cells in one block of initial sets.  The plane engine packs a block's
+# trials into the bits of 64-bit words and pays only on whole words, so a
+# block holds 64 * W trials, W the most with B * |V| <= BLOCK_CELLS but at
+# least 1: its masks take at most 2 MiB.  A grid too large for the plane
+# engine takes one trial a block, which the frontier engine closes.
+BLOCK_CELLS = 1 << 18
+
+
+def _block_rows(size: int) -> int:
+    """The trials in one block of initial sets of ``size`` cells."""
+    return 64 * max(1, BLOCK_CELLS // (64 * size)) if size <= _PLANE_VERTICES else 1
+
 
 # The values of one 64-bit Philox key word: trial and task indices lie in
 # [0, _KEY_WORDS), trial counts in [1, _KEY_WORDS], seeds are taken modulo it.
@@ -308,17 +323,19 @@ def _philox_words(seed_word: int, first: int, count: int, size: int) -> np.ndarr
 
 def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
     """The initial sets of trials 0, ..., trials - 1 as bool blocks of shape
-    ``(B, *spec.shape)``, in trial order, with B * |V| <= BLOCK_VERTICES.
+    ``(B, *spec.shape)``, in trial order, of ``_block_rows(|V|)`` trials but
+    the last.
 
     Row t is ``sample_bin(spec, p, trial_rng(master_seed, t)).mask``: the raw
-    words of trial t's stream go through ``_hits``.  Below
-    ``_VECTOR_VERTICES`` vertices a block's words are computed for all its
-    trials at once (``_philox_words``); otherwise one Philox bit generator is
-    re-keyed to (master_seed, t) with a zero counter for each trial.
+    words of trial t's stream go through ``_hits``, at most
+    ``BLOCK_VERTICES`` words at a time.  Below ``_VECTOR_VERTICES`` vertices
+    those words are computed for all their trials at once
+    (``_philox_words``); otherwise one Philox bit generator is re-keyed to
+    (master_seed, t) with a zero counter for each trial.
     """
     p = check_probability(p, "p")
     size = spec.num_vertices
-    step = max(1, BLOCK_VERTICES // size)
+    rows, step = _block_rows(size), max(1, BLOCK_VERTICES // size)
     seed_word = _seed_word(master_seed)
     bits = np.random.Philox(key=0)
     # Trial t's stream: key words (t, seed), counter 0, nothing buffered.
@@ -326,17 +343,21 @@ def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
     key = [0, seed_word]
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for start in range(0, trials, step):
-        count = min(step, trials - start)
-        if size < _VECTOR_VERTICES:
-            words = _philox_words(seed_word, start, count, size)
-        else:
-            words = np.empty((count, size), dtype=np.uint64)
-            for i in range(count):
-                key[0] = start + i
-                bits.state = state
-                words[i] = bits.random_raw(size)
-        yield _hits(words, p).reshape((count,) + spec.shape)
+    for first in range(0, trials, rows):
+        stop = min(first + rows, trials)
+        block = np.empty((stop - first, size), dtype=bool)
+        for start in range(first, stop, step):
+            count = min(step, stop - start)
+            if size < _VECTOR_VERTICES:
+                words = _philox_words(seed_word, start, count, size)
+            else:
+                words = np.empty((count, size), dtype=np.uint64)
+                for i in range(count):
+                    key[0] = start + i
+                    bits.state = state
+                    words[i] = bits.random_raw(size)
+            block[start - first:start - first + count] = _hits(words, p)
+        yield block.reshape((stop - first,) + spec.shape)
 
 
 def estimate_event_prob(event: EventSpec, p: float, trials: int,

@@ -511,13 +511,27 @@ def test_lambda_of_large_dimension(capsys):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+# Every event but the span events on one trial and on blocks of bit planes.
+CLOSURE_EVENTS = (
+    "from bootperc.montecarlo import EventSpec, estimate_event_prob; "
+    "from bootperc.structures import Rectangle, StructureSpec; "
+    "slab, star, rect = StructureSpec.slab(6, 2, 1, 3, 2), StructureSpec.star(6, 2, 1, 2), "
+    "Rectangle((2, 1), (5, 6)); "
+    "[estimate_event_prob(event, 0.2, trials, 1) for trials in (1, 100) for event in "
+    "(EventSpec('crossed', slab, rect), EventSpec('percolates', slab), "
+    "EventSpec('semi_percolates', star), EventSpec('semi_crossed', star, rect, axis=2))]"
+)
+
+
 @pytest.mark.parametrize("code", [
     "import bootperc",
     "from bootperc.cli import main; assert main(['beta', '--k', '2', '--u', '0.5']) == 0",
+    pytest.param(CLOSURE_EVENTS, id="closure_events"),
 ])
 def test_scalar_work_does_not_load_scipy(code):
     # scipy.ndimage is imported by the labelling functions that use it, so
-    # importing the package or a scalar command loads numpy only.
+    # importing the package, a scalar command or an estimate of an event
+    # decided on the closure alone loads numpy only.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     check = "; import sys; assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'"
     proc = subprocess.run([sys.executable, "-c", code + check], env=env,

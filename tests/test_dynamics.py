@@ -26,6 +26,7 @@ from bootperc.dynamics import (
     is_crossed,
     is_semi_crossed,
     percolates,
+    semi_crossed_batch,
     semi_percolates,
 )
 
@@ -378,11 +379,54 @@ def test_is_semi_crossed_matches_definition_oracle(spec, axis):
     assert len(set(outcomes)) == 2
 
 
+# Blocks of 70 rows: a full word of bit planes and part of a second, or,
+# with no grid small enough for the planes, 70 grids for the frontier engine.
+ENGINES = pytest.mark.parametrize("plane_vertices", [None, 0], ids=["planes", "frontier"])
+
+
+@ENGINES
+@pytest.mark.parametrize("direction",
+                         [LEFT_TO_RIGHT, RIGHT_TO_LEFT, BOTTOM_TO_TOP, TOP_TO_BOTTOM],
+                         ids=lambda c: f"axis{c.axis}{'rev' if c.reverse else ''}")
+def test_crossed_batch_rows_match_definition_oracle(direction, plane_vertices, monkeypatch):
+    if plane_vertices is not None:
+        monkeypatch.setattr("bootperc.dynamics._PLANE_VERTICES", plane_vertices)
+    spec = StructureSpec.slab(5, 2, 1, 3, 2)
+    rng = np.random.default_rng([43, direction.axis, direction.reverse])
+    outcomes = set()
+    for rect in (Rectangle((1, 1), (spec.n, spec.n)), Rectangle((2, 1), (4, 5)),
+                 Rectangle((1, 2), (5, 4))):
+        density = rng.uniform(0.0, 0.25, (70,) + (1,) * len(spec.shape))
+        masks = rng.random((70,) + spec.shape) < density
+        got = crossed_batch(spec, rect, masks, direction)
+        want = [crossed_oracle(spec, rect, CellSet.from_mask(m), direction) for m in masks]
+        assert got.tolist() == want, rect
+        outcomes.update(want)
+    assert outcomes == {False, True}
+
+
+@ENGINES
+@pytest.mark.parametrize("axis", [1, 2])
+def test_semi_crossed_batch_rows_match_definition_oracle(axis, plane_vertices, monkeypatch):
+    if plane_vertices is not None:
+        monkeypatch.setattr("bootperc.dynamics._PLANE_VERTICES", plane_vertices)
+    spec = StructureSpec.star(5, 2, 1, 2)
+    rng = np.random.default_rng([47, axis])
+    outcomes = set()
+    for rect in (Rectangle((1, 1), (spec.n, spec.n)), Rectangle((2, 1), (4, 5)),
+                 Rectangle((1, 2), (5, 4))):
+        density = rng.uniform(0.05, 0.6, (70,) + (1,) * len(spec.shape))
+        masks = rng.random((70,) + spec.shape) < density
+        got = semi_crossed_batch(spec, rect, masks, axis)
+        want = [semi_crossed_oracle(spec, rect, CellSet.from_mask(m), axis) for m in masks]
+        assert got.tolist() == want, rect
+        outcomes.update(want)
+    assert outcomes == {False, True}
+
+
 # --- exact identities, with no reference engine -------------------------------
 
-# 64-row blocks; plain(12, 2, 2)'s block has fewer than 2**14 cells, so
-# _close runs its small-block rounds there and its wide and narrow rounds on
-# the others.
+# 64-row blocks, one full word of bit planes, on grids of 144 to 4096 cells.
 SYMMETRY_SPECS = [
     StructureSpec.plain(40, 2, 2),
     StructureSpec.slab(16, 2, 1, 3, 2),

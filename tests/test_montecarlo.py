@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -292,6 +293,13 @@ def reference_estimate(event, p, trials, seed):
                     *wilson_interval(successes, trials), seed)
 
 
+def block_rule(size):
+    """The trials in a block of grids of ``size`` cells: 64 * W, W the most
+    with B * size <= 2**18 but at least 1, on a grid of at most 2**15 cells,
+    and one above."""
+    return 64 * max(1, 2 ** 18 // (64 * size)) if size <= 2 ** 15 else 1
+
+
 # Structures on both sides of _VECTOR_VERTICES: plain(100, 2, 2) and
 # plain(_VECTOR_VERTICES, 1, 1) re-key one Philox per trial, the others
 # draw their words with _philox_words.
@@ -304,8 +312,8 @@ SAMPLE_SPECS = [StructureSpec.plain(100, 2, 2), StructureSpec.plain(_VECTOR_VERT
 @pytest.mark.parametrize("seed", [0, -5, 2 ** 64 + 17, 2 ** 70 - 1])
 @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=str)
 def test_sample_blocks_rows_equal_sample_bin(spec, p, seed):
-    step = BLOCK_VERTICES // spec.num_vertices  # plain(100, 2, 2): blocks of 6
-    trials = min(2 * step + 3, 40)
+    step = block_rule(spec.num_vertices)  # plain(100, 2, 2): blocks of 64
+    trials = min(2 * step + 3, 140)
     blocks = list(sample_blocks(spec, p, seed, trials))
     assert [len(b) for b in blocks] == [min(step, trials - s) for s in range(0, trials, step)]
     rows = np.concatenate(blocks)
@@ -317,7 +325,8 @@ def test_sample_blocks_rows_equal_sample_bin(spec, p, seed):
 def test_sample_blocks_fill_one_block_and_part_of_a_second():
     spec = StructureSpec.star(3, 2, 1, 2)
     assert spec.num_vertices < _VECTOR_VERTICES
-    step = BLOCK_VERTICES // spec.num_vertices
+    step = block_rule(spec.num_vertices)
+    assert step == 64 * 227  # 227 words of bit planes
     blocks = list(sample_blocks(spec, 0.3, -1, step + 5))
     assert [len(b) for b in blocks] == [step, 5]
     for t, row in enumerate(np.concatenate(blocks)):
@@ -660,7 +669,7 @@ def test_closure_batch_equals_closure(spec):
 
 def test_blocks_of_one_trial_on_a_large_structure():
     spec = StructureSpec.plain(257, 2, 2)
-    assert spec.num_vertices > BLOCK_VERTICES
+    assert spec.num_vertices > max(BLOCK_VERTICES, 2 ** 15) and block_rule(spec.num_vertices) == 1
     assert [len(b) for b in sample_blocks(spec, 0.5, 3, 3)] == [1, 1, 1]
     event = EventSpec("percolates", spec)
     outcomes = set()
@@ -706,26 +715,29 @@ def random_block(rng, rows, shape):
 
 
 # mc_small's rows of 4 and 16 cells, a grid of 12 axes (the axis budget), and
-# 130 x 130, which has more than 2**14 vertices, so a single grid is a large block.
+# 130 x 130, which has more than 2**14 vertices, so a single grid takes the
+# np.unique rounds.
 ENGINE_SPECS = CLOSURE_SPECS + [StructureSpec.plain(2, 2, 2), StructureSpec.plain(4, 2, 2),
                                 StructureSpec.plain(2, 12, 2), StructureSpec.plain(130, 2, 2)]
 
 
-# A large block's rounds are all sparse at share 0, and all dense at 2**40.
-@pytest.mark.parametrize("share", [0, 8, 2 ** 40], ids=["sparse", "mixed", "dense"])
+# No row, one grid (the frontier engine), and bit planes of one partly filled
+# word, one full word, a full word and one bit, and three words; with no
+# grid small enough for the planes, every row goes to the frontier engine.
+@pytest.mark.parametrize("plane_vertices", [None, 0], ids=["planes", "frontier"])
+@pytest.mark.parametrize("rows", [0, 1, 2, 63, 64, 65, 130])
 @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=str)
-def test_closure_engine_equals_reference(spec, share, monkeypatch):
-    monkeypatch.setattr("bootperc.dynamics._DENSE_SHARE", share)
-    rng = np.random.default_rng([7, spec.n, spec.d, spec.r, spec.ell, spec.k])
-    small = random_block(rng, 40 if spec.num_vertices < 1000 else 3, spec.shape)
-    for row, got in zip(small, closure_batch(spec, small)):
+def test_closure_engine_equals_reference(spec, rows, plane_vertices, monkeypatch):
+    if plane_vertices is not None:
+        monkeypatch.setattr("bootperc.dynamics._PLANE_VERTICES", plane_vertices)
+    rng = np.random.default_rng([7, rows, spec.n, spec.d, spec.r, spec.ell, spec.k])
+    block = random_block(rng, rows, spec.shape)
+    closed = closure_batch(spec, block)
+    assert closed.shape == block.shape and closed.dtype == bool
+    for row, got in zip(block, closed):
         want = reference_closure(spec, row)
         assert np.array_equal(got, want)
         assert np.array_equal(closure(spec, CellSet.from_mask(row)).mask, want)
-    # A block of at least 2**14 vertices takes the wide and narrow rounds.
-    large = random_block(rng, (1 << 14) // spec.num_vertices + 1, spec.shape)
-    for row, got in zip(large, closure_batch(spec, large)):
-        assert np.array_equal(got, reference_closure(spec, row))
 
 
 @pytest.mark.parametrize("lo,hi,t", [
@@ -844,3 +856,43 @@ def test_bad_event_input_is_refused_alike_on_both_routes(case):
             make()
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+# --- fixed-seed pins ----------------------------------------------------------
+
+# Success counts at master seeds 1 and 2**64 - 1 on the benchmark's larger
+# structures, taken from the engine before bit planes; each kind at least
+# once, blocks of one word, several words and a partly filled last word.
+PLAIN32, PLAIN64 = StructureSpec.plain(32, 2, 2), StructureSpec.plain(64, 2, 2)
+STAR20, SLAB32 = StructureSpec.star(20, 2, 1, 2), StructureSpec.slab(32, 2, 1, 3, 2)
+WHOLE32 = Rectangle((1, 1), (32, 32))
+PINNED_COUNTS = [
+    (EventSpec("percolates", PLAIN64), 0.06, 70, (33, 31)),
+    (EventSpec("semi_percolates", STAR20), 0.07, 200, (68, 65)),
+    (EventSpec("spans", PLAIN32, WHOLE32), 0.075, 130, (40, 36)),
+    (EventSpec("crossed", SLAB32, WHOLE32), 0.035, 100, (74, 82)),
+    (EventSpec("crossed", SLAB32, Rectangle((3, 5), (30, 20)), TOP_TO_BOTTOM), 0.035, 100,
+     (73, 75)),
+    (EventSpec("semi_crossed", STAR20, Rectangle((5, 5), (16, 16)), axis=1), 0.075, 200,
+     (114, 108)),
+    (EventSpec("long_span", PLAIN32, long_threshold=16), 0.07, 130, (48, 55)),
+]
+
+
+@pytest.mark.parametrize("event,p,trials,counts", PINNED_COUNTS,
+                         ids=["percolates", "semi_percolates", "spans", "crossed",
+                              "crossed_top_to_bottom", "semi_crossed", "long_span"])
+def test_fixed_seed_success_counts_are_pinned(event, p, trials, counts):
+    got = tuple(round(estimate_event_prob(event, p, trials, seed).p_hat * trials)
+                for seed in (1, 2 ** 64 - 1))
+    assert got == counts
+
+
+def test_fixed_seed_sweep_csv_is_pinned(tmp_path):
+    points = tuple(SweepPoint(PLAIN32, EventSpec("percolates", PLAIN32), p, 130)
+                   for p in (0.07, 0.09))
+    points += (SweepPoint(STAR20, EventSpec("semi_percolates", STAR20), 0.08, 130),)
+    out = tmp_path / "rows.csv"
+    run_sweep(SweepConfig(points, 7), str(out))
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "17c450c339f9cd888538faf7089ef97f2366b58990c85d9e09743c6a29cf045a"

@@ -200,7 +200,7 @@ def test_diameter():
 @pytest.mark.parametrize("shape", [(5, 5, 3), (3, 1, 4), (1,), (0, 3), (2,) * 12], ids=str)
 def test_grid_tables_neighbor_consistency(shape):
     # Column 2 * axis is the neighbour one step down along axis and column
-    # 2 * axis + 1 the one up, as _add_neighbours reads them; -1 off the grid.
+    # 2 * axis + 1 the one up, as _close_planes reads them; -1 off the grid.
     nbrs, size = grid_tables(shape)
     assert size == prod(shape) and nbrs.shape == (size, 2 * len(shape))
     assert not nbrs.flags.writeable
