@@ -17,14 +17,17 @@ number of cells V of a grid:
   touched cell.
 
 The fixed point is independent of update order, so each row of a block is
-the closure of that row whichever engine runs.  Each event is one
-``*_batch`` predicate over the rows of a block, of which the per-trial event
-is the form at B = 1.  The events read the closed planes: they AND-reduce
-them over the cells that must be infected and unpack one bit per row.  The
-crossing events close each row on one padded local grid: R plus a ghost
-layer, or plus a layer on each side; crossing is then a flood fill, a
-closure with threshold 1 by either engine.  Each event's input rule is one
-function here, which ``EventSpec`` calls too.
+the closure of that row whichever engine runs.  ``block_rows`` sizes the
+Monte Carlo blocks by the same rule: whole words of planes, and one trial a
+block above ``_PLANE_VERTICES`` cells.  Each event is one ``*_batch``
+predicate over the rows of a block, of which the per-trial event is the
+form at B = 1.  It closes the block by ``_closed``, the one wrapper from a
+structure to the engines, and reads the closed planes: AND-reduced over the
+cells that must be infected, one bit per row.  The crossing events close
+each row on one padded local grid: R plus a ghost layer, or plus a layer on
+each side; crossing is then a flood fill, a closure with threshold 1 by
+either engine.  Each event's input rule is one function here, which
+``EventSpec`` calls too.
 """
 
 from __future__ import annotations
@@ -111,6 +114,18 @@ _ONES = np.uint64(np.iinfo(np.uint64).max)
 # plain(256, 2, 2) 22.5 against 17.5 ms.
 _PLANE_VERTICES = 1 << 15
 
+# Cells in one block of initial sets.  The plane engine packs a block's
+# trials into the bits of 64-bit words and pays only on whole words, so a
+# block holds 64 * W trials, W the most with B * |V| <= BLOCK_CELLS but at
+# least 1: its masks take at most 2 MiB.  A grid too large for the plane
+# engine takes one trial a block, which the frontier engine closes.
+BLOCK_CELLS = 1 << 18
+
+
+def block_rows(size: int) -> int:
+    """The trials in one block of initial sets of ``size`` cells."""
+    return _WORD * max(1, BLOCK_CELLS // (_WORD * size)) if size <= _PLANE_VERTICES else 1
+
 
 def _close(thresholds: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """The frontier closure engine: closes one C-contiguous bool grid in
@@ -163,8 +178,6 @@ def _pack(block: np.ndarray) -> np.ndarray:
 
 def _unpack(planes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The bool block ``shape = (B, *grid)`` of the bit planes ``(V, W)``."""
-    if shape[0] == 1:  # unpackbits takes some 5 ns a cell for one bit
-        return (planes[:, 0] & np.uint64(1)).astype(bool).reshape(shape)
     bits = np.unpackbits(planes.view(np.uint8).T, axis=0, count=shape[0], bitorder="little")
     return bits.view(bool).reshape(shape)
 
@@ -305,11 +318,17 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     return out
 
 
-def _closed(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
-    """The closures of a block of initial sets of shape ``(B, *spec.shape)``
-    as bit planes ``(V, W)``; ``masks`` is not changed."""
-    check_shape(spec, masks.shape[1:])
-    return _closed_planes(threshold_table(spec), np.array(masks, dtype=bool, order="C"))
+def _closed(spec: StructureSpec, infected: np.ndarray, region=True) -> np.ndarray:
+    """Closure of a C-contiguous block ``(B, *grid)`` of grids of spec of any
+    horizontal extent and full thickness, the whole grid among them, as bit
+    planes ``(*grid, W)``; ``infected`` is changed.  Only cells of ``region``
+    (a bool mask of one grid, default all) join: cells outside must start
+    uninfected."""
+    # The table repeats one thickness column, so its cyclic extension holds
+    # the thresholds of any grid of full thickness.
+    thresholds = np.resize(threshold_table(spec), prod(infected.shape[1:]))
+    closed = _closed_planes(np.where(np.ravel(region), thresholds, NEVER), infected)
+    return closed.reshape(infected.shape[1:] + (-1,))
 
 
 def closure_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
@@ -336,7 +355,8 @@ def closure(spec: StructureSpec, cells: CellSet) -> CellSet:
 def percolates_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
     """``percolates`` on every row of a block of initial sets of shape
     ``(B, *spec.shape)``, as a bool array of length B."""
-    return _rows(_closed(spec, masks), len(masks))
+    check_shape(spec, masks.shape[1:])
+    return _rows(_closed(spec, np.array(masks, dtype=bool, order="C")), len(masks))
 
 
 def percolates(spec: StructureSpec, cells: CellSet) -> bool:
@@ -354,7 +374,8 @@ def semi_percolates_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:
     """``semi_percolates`` on every row of a block of initial sets of shape
     ``(B, *spec.shape)``; the vertices of threshold r are the base layer."""
     check_semi_percolation(spec)
-    closed = _closed(spec, masks).reshape(spec.shape + (-1,))
+    check_shape(spec, masks.shape[1:])
+    closed = _closed(spec, np.array(masks, dtype=bool, order="C"))
     return _rows(closed[(...,) + (0,) * spec.ell + (slice(None),)], len(masks))
 
 
@@ -379,18 +400,6 @@ def check_semi_crossing(spec: StructureSpec, rect: Rectangle, axis: int) -> int:
     return check_number(axis, "semi-crossing axis", numbers.Integral, 1, spec.d)
 
 
-def _local_closure(spec: StructureSpec, infected: np.ndarray, region=True) -> np.ndarray:
-    """Closure of a C-contiguous block ``(B, *grid)`` of local grids of spec,
-    of any horizontal extent and full thickness, as bit planes ``(*grid,
-    W)``; ``infected`` is changed.  Only cells of ``region`` (a bool mask of
-    one grid, default all) join: cells outside must start uninfected.
-    """
-    thresholds = np.tile(threshold_table(spec)[:spec.k ** spec.ell],
-                         prod(infected.shape[1:spec.d + 1]))
-    closed = _closed_planes(np.where(np.ravel(region), thresholds, NEVER), infected)
-    return closed.reshape(infected.shape[1:] + (-1,))
-
-
 def crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
                   direction: CrossDirection = LEFT_TO_RIGHT) -> np.ndarray:
     """``is_crossed`` on every row of a block of initial sets of shape
@@ -412,7 +421,7 @@ def crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
     pad = [(0, 0)] * masks.ndim
     pad[ax + 1] = (0, 1) if direction.reverse else (1, 0)
     infected = np.pad(masks[(slice(None),) + rect.slices], pad, constant_values=True)
-    closed = _local_closure(spec, infected)
+    closed = _closed(spec, infected)
     layer, grid = (slice(None),) * (ax + 1), infected.shape[1:]
     reach = np.zeros_like(infected)
     reach[layer + (ghost,)] = True
@@ -451,7 +460,7 @@ def semi_crossed_batch(spec: StructureSpec, rect: Rectangle, masks: np.ndarray,
     region[(slice(None),) * ax + (slice(1, -1),)] = True
     region[minus], region[plus] = rect.lo[ax] > 1, rect.hi[ax] < spec.n
     window[minus] = True
-    closed = _local_closure(spec, window & region, region)
+    closed = _closed(spec, window & region, region)
     return _rows(closed[inner + (slice(None),)], len(masks))
 
 

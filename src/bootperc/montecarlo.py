@@ -12,10 +12,11 @@ bit generator is re-keyed to (master seed, t) for each trial t.  A block is
 evaluated at once by ``EventSpec.holds``, the one dispatch over event kinds,
 which answers for each row; ``EventSpec.evaluate`` is its form for one
 initial set.  A block holds whole words of the closure engine's bit planes,
-64 * W trials (``_block_rows``).  Every estimator turns raw Philox words into
-indicators by one uniform rule (``_hits``) and draws at most
-``BLOCK_VERTICES`` words at a time; ``estimate_lgap`` reads trial t at its
-fixed position in one stream, so no estimate depends on the block size.
+64 * W trials, by ``dynamics.block_rows``, which lives beside the rule that
+picks the engine.  Every estimator turns raw Philox words into indicators
+by one uniform rule (``_hits``) and draws at most ``BLOCK_VERTICES`` words
+at a time; ``estimate_lgap`` reads trial t at its fixed position in one
+stream, so no estimate depends on the block size.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from .structures import (
     check_sides,
 )
 from .dynamics import (
-    _PLANE_VERTICES,
     LEFT_TO_RIGHT,
     CrossDirection,
+    block_rows,
     check_crossing,
     check_semi_crossing,
     check_semi_percolation,
@@ -81,19 +82,6 @@ _FIELDS = {
 # initial set): B * W <= BLOCK_VERTICES, so they take at most 512 KiB unless
 # one trial is larger.
 BLOCK_VERTICES = 1 << 16
-
-# Cells in one block of initial sets.  The plane engine packs a block's
-# trials into the bits of 64-bit words and pays only on whole words, so a
-# block holds 64 * W trials, W the most with B * |V| <= BLOCK_CELLS but at
-# least 1: its masks take at most 2 MiB.  A grid too large for the plane
-# engine takes one trial a block, which the frontier engine closes.
-BLOCK_CELLS = 1 << 18
-
-
-def _block_rows(size: int) -> int:
-    """The trials in one block of initial sets of ``size`` cells."""
-    return 64 * max(1, BLOCK_CELLS // (64 * size)) if size <= _PLANE_VERTICES else 1
-
 
 # The values of one 64-bit Philox key word: trial and task indices lie in
 # [0, _KEY_WORDS), trial counts in [1, _KEY_WORDS], seeds are taken modulo it.
@@ -323,7 +311,7 @@ def _philox_words(seed_word: int, first: int, count: int, size: int) -> np.ndarr
 
 def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
     """The initial sets of trials 0, ..., trials - 1 as bool blocks of shape
-    ``(B, *spec.shape)``, in trial order, of ``_block_rows(|V|)`` trials but
+    ``(B, *spec.shape)``, in trial order, of ``block_rows(|V|)`` trials but
     the last.
 
     Row t is ``sample_bin(spec, p, trial_rng(master_seed, t)).mask``: the raw
@@ -334,8 +322,9 @@ def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
     (master_seed, t) with a zero counter for each trial.
     """
     p = check_probability(p, "p")
+    trials = check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
     size = spec.num_vertices
-    rows, step = _block_rows(size), max(1, BLOCK_VERTICES // size)
+    rows, step = block_rows(size), max(1, BLOCK_VERTICES // size)
     seed_word = _seed_word(master_seed)
     bits = np.random.Philox(key=0)
     # Trial t's stream: key words (t, seed), counter 0, nothing buffered.

@@ -26,8 +26,10 @@ from bootperc.dynamics import (
     is_crossed,
     is_semi_crossed,
     percolates,
+    percolates_batch,
     semi_crossed_batch,
     semi_percolates,
+    semi_percolates_batch,
 )
 
 
@@ -379,11 +381,13 @@ def test_is_semi_crossed_matches_definition_oracle(spec, axis):
     assert len(set(outcomes)) == 2
 
 
-# Blocks of 70 rows: a full word of bit planes and part of a second, or,
-# with no grid small enough for the planes, 70 grids for the frontier engine.
+# The engine rule as it is, or with no grid small enough for the planes, so
+# that the frontier engine closes every row.
 ENGINES = pytest.mark.parametrize("plane_vertices", [None, 0], ids=["planes", "frontier"])
 
 
+# Blocks of 70 rows: a full word of bit planes and part of a second, or 70
+# grids for the frontier engine.
 @ENGINES
 @pytest.mark.parametrize("direction",
                          [LEFT_TO_RIGHT, RIGHT_TO_LEFT, BOTTOM_TO_TOP, TOP_TO_BOTTOM],
@@ -424,6 +428,31 @@ def test_semi_crossed_batch_rows_match_definition_oracle(axis, plane_vertices, m
     assert outcomes == {False, True}
 
 
+# No row, one grid, and bit planes of one partly filled word, one full word,
+# a full word and one bit, and three words; or every row by the frontier
+# engine.
+@ENGINES
+@pytest.mark.parametrize("rows", [0, 1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("spec", [StructureSpec.plain(5, 2, 2), StructureSpec.star(4, 2, 1, 2),
+                                  StructureSpec.slab(4, 2, 1, 3, 2)],
+                         ids=lambda s: s.family + str(s.shape))
+def test_event_rows_match_closure(spec, rows, plane_vertices, monkeypatch):
+    if plane_vertices is not None:
+        monkeypatch.setattr("bootperc.dynamics._PLANE_VERTICES", plane_vertices)
+    rng = np.random.default_rng([53, rows, spec.n, spec.ell])
+    density = rng.uniform(0.05, 0.6, (rows,) + (1,) * len(spec.shape))
+    masks = rng.random((rows,) + spec.shape) < density
+    closed = [closure(spec, CellSet.from_mask(m)).mask for m in masks]
+    got = percolates_batch(spec, masks)
+    assert got.dtype == bool and got.tolist() == [c.all() for c in closed]
+    if spec.family == "star":
+        base = (...,) + (0,) * spec.ell
+        got = semi_percolates_batch(spec, masks)
+        assert got.dtype == bool and got.tolist() == [c[base].all() for c in closed]
+    if rows > 64:
+        assert {c.all() for c in closed} == {False, True}
+
+
 # --- exact identities, with no reference engine -------------------------------
 
 # 64-row blocks, one full word of bit planes, on grids of 144 to 4096 cells.
@@ -437,8 +466,11 @@ SYMMETRY_SPECS = [
 ]
 
 
+@ENGINES
 @pytest.mark.parametrize("spec", SYMMETRY_SPECS, ids=lambda s: s.family + str(s.shape))
-def test_closure_batch_commutes_with_symmetries_and_row_order(spec):
+def test_closure_batch_commutes_with_symmetries_and_row_order(spec, plane_vertices, monkeypatch):
+    if plane_vertices is not None:
+        monkeypatch.setattr("bootperc.dynamics._PLANE_VERTICES", plane_vertices)
     rng = np.random.default_rng([41, spec.n, spec.d, spec.ell])
     density = rng.uniform(0.0, 0.2, (64,) + (1,) * len(spec.shape))
     masks = rng.random((64,) + spec.shape) < density
@@ -457,7 +489,10 @@ def test_closure_batch_commutes_with_symmetries_and_row_order(spec):
     assert np.array_equal(closure_batch(spec, masks[order]), closed[order])
 
 
-def test_crossing_commutes_with_reflection_and_transposition():
+@ENGINES
+def test_crossing_commutes_with_reflection_and_transposition(plane_vertices, monkeypatch):
+    if plane_vertices is not None:
+        monkeypatch.setattr("bootperc.dynamics._PLANE_VERTICES", plane_vertices)
     spec = StructureSpec.slab(16, 2, 1, 3, 2)
     rect = Rectangle((2, 4), (11, 13))
     reflected = Rectangle((spec.n + 1 - rect.hi[0], rect.lo[1]),

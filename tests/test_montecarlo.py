@@ -406,6 +406,15 @@ def test_sample_blocks_refuses_bad_density():
         estimate_event_prob(EventSpec("percolates", StructureSpec.plain(3, 2, 2)), -0.1, 10, 1)
 
 
+@pytest.mark.parametrize("trials", [2.5, "5", True, -3])
+def test_sample_blocks_holds_trials_to_the_integer_rule(trials):
+    # 2.5 and "5" raised a bare TypeError from range, True ran one trial and
+    # -3 yielded nothing.
+    with pytest.raises(DomainError, match="trials must be|trials = .* outside") as info:
+        next(sample_blocks(StructureSpec.plain(2, 2, 2), 0.3, 1, trials))
+    assert "\n" not in str(info.value)
+
+
 PLAIN5 = StructureSpec.plain(5, 2, 2)
 STAR4 = StructureSpec.star(4, 2, 1, 2)
 SLAB4 = StructureSpec.slab(4, 2, 1, 3, 2)
