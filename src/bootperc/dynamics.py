@@ -1,8 +1,9 @@
 """Closure computation and the percolation / crossing / gap predicates.
 
-Two engines compute every closure, chosen in one place (``_closed_planes``)
-by the number of rows B of a block of initial sets ``(B, *shape)`` and the
-number of cells V of a grid:
+Two engines compute every closure, both from a ``(V,)`` threshold table of
+the V cells of a grid and an optional region of each row, the cells that
+may join.  The engine is chosen in one place (``_closed_planes``) by the
+number of rows B of a block of initial sets ``(B, *shape)`` and by V:
 
 - A block of B > 1 rows of at most ``_PLANE_VERTICES`` cells goes to the
   plane engine ``_close_planes`` (multi-spin coding): trial t is bit t % 64
@@ -196,32 +197,20 @@ def _ones_on(cells: np.ndarray, words: int) -> np.ndarray:
     return np.repeat(np.where(cells, _ONES, np.uint64(0))[:, None], words, axis=1)
 
 
-def _joins(thresholds: np.ndarray, limit: int, words: int) -> list:
-    """The ``(t, M)`` pairs of ``_close_planes`` for a ``(V,)`` threshold
-    table and planes of ``words`` words: M is all ones on the cells of
-    threshold t and 0 elsewhere, or None where every cell has threshold t.  A
-    threshold above ``limit``, the largest neighbour count (so also
-    ``NEVER``), joins no M."""
-    joins = []
-    for t in np.unique(thresholds):
-        if t <= limit:
-            cells = thresholds == t
-            joins.append((int(t), None if cells.all() else _ones_on(cells, words)))
-    return joins
-
-
-def _close_planes(x: np.ndarray, shape: tuple[int, ...], joins: list) -> np.ndarray:
+def _close_planes(x: np.ndarray, shape: tuple[int, ...], thresholds: np.ndarray,
+                  region=None) -> np.ndarray:
     """The plane closure engine: closes the bit planes ``(V, W)`` of grids of
-    ``shape`` in place and returns them.
-
-    A round works on all 64 * W trials at once.  Along each axis it shifts
-    the planes one step down and one step up, keeping the cells that have a
-    neighbour on that side in ``grid_tables``; the two shifted planes give
-    the cells with at least one and with two infected neighbours along the
-    axis, and these update the running planes ``count[j]``: at least j + 1
-    infected neighbours along the axes so far.  Then ``x |= count[t - 1] &
-    M`` for each ``(t, M)`` of ``joins`` (M of the shape of x, or None for
-    all ones).  Rounds run four at a time until four change nothing.
+    ``shape`` in place under the ``(V,)`` threshold table, as ``_close`` does,
+    and returns them.  With ``region``, planes ``(V, W)``, only the cells of
+    a trial's region join.  A round works on all 64 * W trials at once.
+    Along each axis it shifts the planes one step down and one step up,
+    keeping the cells that have a neighbour on that side in ``grid_tables``;
+    the two shifted planes give the cells with at least one and with two
+    infected neighbours along the axis, and these update the running planes
+    ``count[j]``: at least j + 1 infected neighbours along the axes so far.
+    Then ``x |= count[t - 1] & M`` for each t up to the largest neighbour
+    count (so not ``NEVER``), M the cells of threshold t in the region (None
+    for all cells).  Rounds run four at a time until four change nothing.
     """
     nbrs, size = grid_tables(shape)
     # Per axis: the planes of the lower and the upper neighbour, each 0 where
@@ -235,10 +224,19 @@ def _close_planes(x: np.ndarray, shape: tuple[int, ...], joins: list) -> np.ndar
                      for cells, col in ((slice(step, None), 2 * ax), (slice(None, -step), 2 * ax + 1))]
             axes.append((low, high, ((x[:-step], masks[0], low[step:]),
                                      (x[step:], masks[1], high[:-step]))))
+    joins = []
+    for t in np.unique(thresholds):
+        if t <= 2 * len(shape):
+            cells = thresholds == t
+            cells = None if cells.all() else _ones_on(cells, x.shape[1])
+            if region is not None:
+                cells = region if cells is None else np.bitwise_and(cells, region, out=cells)
+            joins.append((int(t), cells))
     if not (joins and axes):
         return x
+    # Axis 0 fills count[1] even when top = 1, so that no round tests top.
     top = max(t for t, _ in joins)
-    count = [np.empty_like(x) for _ in range(top)]
+    count = [np.empty_like(x) for _ in range(max(2, top))]
     one, tmp, spare = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     while True:
         before = x.copy()
@@ -250,13 +248,12 @@ def _close_planes(x: np.ndarray, shape: tuple[int, ...], joins: list) -> np.ndar
                 # free once read, and its unfilled cells stay 0.
                 if i == 0:
                     np.bitwise_or(low, high, out=count[0])
-                    if top > 1:
-                        np.bitwise_and(low, high, out=count[1])
+                    np.bitwise_and(low, high, out=count[1])
                     for plane in count[2:]:
                         plane.fill(0)
                     continue
                 np.bitwise_or(low, high, out=one)
-                two = np.bitwise_and(low, high, out=low) if top > 1 else None
+                two = np.bitwise_and(low, high, out=low)
                 for j in range(top - 1, 0, -1):
                     np.bitwise_and(count[j - 1], one, out=tmp)
                     tmp |= two if j == 1 else np.bitwise_and(count[j - 2], two, out=spare)
@@ -270,20 +267,16 @@ def _close_planes(x: np.ndarray, shape: tuple[int, ...], joins: list) -> np.ndar
 
 def _closed_planes(thresholds: np.ndarray, block: np.ndarray, region=None) -> np.ndarray:
     """The closure of every row of the C-contiguous bool block ``(B,
-    *shape)``, as bit planes ``(V, W)``: the engine rule.  With ``region``,
-    bit planes ``(V, W)`` of the block's rows, only the cells of a row's
-    region join.  A block of several rows of at most ``_PLANE_VERTICES``
-    cells is packed and closed by ``_close_planes``, which pays only on
-    whole words.  Any other block, one grid in particular, is closed in
-    place row by row by ``_close`` and packed.
+    *shape)`` under a threshold table and region as ``_close_planes`` takes
+    them, as bit planes ``(V, W)``: the engine rule.  A block of several rows
+    of at most ``_PLANE_VERTICES`` cells is packed and closed by
+    ``_close_planes``, which pays only on whole words.  Any other block, one
+    grid in particular, is closed in place row by row by ``_close`` and
+    packed.
     """
     rows, shape = len(block), block.shape[1:]
     if rows > 1 and prod(shape) <= _PLANE_VERTICES:
-        planes = _pack(block)
-        joins = _joins(thresholds, 2 * len(shape), planes.shape[1])
-        if region is not None:
-            joins = [(t, region if cells is None else cells & region) for t, cells in joins]
-        return _close_planes(planes, shape, joins)
+        return _close_planes(_pack(block), shape, thresholds, region)
     regions = [None] * rows if region is None else _unpack(region, (rows, prod(shape)))
     for grid, inside in zip(block, regions):
         _close(thresholds if inside is None else np.where(inside, thresholds, NEVER), grid)
@@ -318,17 +311,20 @@ def closure_uniform(box: Rectangle, cells, t: int) -> CellSet:
     return out
 
 
-def _closed(spec: StructureSpec, infected: np.ndarray, region=True) -> np.ndarray:
+def _closed(spec: StructureSpec, infected: np.ndarray, region=None) -> np.ndarray:
     """Closure of a C-contiguous block ``(B, *grid)`` of grids of spec of any
     horizontal extent and full thickness, the whole grid among them, as bit
-    planes ``(*grid, W)``; ``infected`` is changed.  Only cells of ``region``
-    (a bool mask of one grid, default all) join: cells outside must start
-    uninfected."""
+    planes ``(*grid, W)``; ``infected`` is changed.  The engines take the
+    grid's threshold table, ``NEVER`` outside ``region`` (a bool mask of one
+    grid, default all): cells outside it must start uninfected."""
+    thresholds, size = threshold_table(spec), prod(infected.shape[1:])
     # The table repeats one thickness column, so its cyclic extension holds
     # the thresholds of any grid of full thickness.
-    thresholds = np.resize(threshold_table(spec), prod(infected.shape[1:]))
-    closed = _closed_planes(np.where(np.ravel(region), thresholds, NEVER), infected)
-    return closed.reshape(infected.shape[1:] + (-1,))
+    if thresholds.size != size:
+        thresholds = np.resize(thresholds, size)
+    if region is not None:
+        thresholds = np.where(np.ravel(region), thresholds, NEVER)
+    return _closed_planes(thresholds, infected).reshape(infected.shape[1:] + (-1,))
 
 
 def closure_batch(spec: StructureSpec, masks: np.ndarray) -> np.ndarray:

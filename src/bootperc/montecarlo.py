@@ -217,7 +217,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # The exact bounds at 0 and at all successes, which rounding misses.
+    return (max(0.0, center - half) if successes else 0.0,
+            min(1.0, center + half) if successes < trials else 1.0)
 
 
 def _seed_word(master_seed: int) -> int:

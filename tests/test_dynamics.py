@@ -489,6 +489,27 @@ def test_closure_batch_commutes_with_symmetries_and_row_order(spec, plane_vertic
     assert np.array_equal(closure_batch(spec, masks[order]), closed[order])
 
 
+# <A u B> = <<A> u B>, on which the merge algorithm rests, and <A> lies
+# within <A u B>: blocks of one full word, and of two words and two bits.
+@ENGINES
+@pytest.mark.parametrize("rows", [64, 130])
+@pytest.mark.parametrize("spec", [StructureSpec.plain(12, 2, 2), StructureSpec.star(8, 2, 1, 2),
+                                  StructureSpec.slab(8, 2, 1, 3, 2)],
+                         ids=lambda s: s.family + str(s.shape))
+def test_closure_batch_absorbs_a_closed_part(spec, rows, plane_vertices, monkeypatch):
+    if plane_vertices is not None:
+        monkeypatch.setattr("bootperc.dynamics._PLANE_VERTICES", plane_vertices)
+    rng = np.random.default_rng([59, rows, spec.n, spec.ell])
+    density = rng.uniform(0.0, 0.15, (rows,) + (1,) * len(spec.shape))
+    a, b = (rng.random((rows,) + spec.shape) < density for _ in range(2))
+    closed, joint = closure_batch(spec, a), closure_batch(spec, a | b)
+    assert np.array_equal(closure_batch(spec, closed | b), joint)
+    assert not (closed & ~joint).any()
+    # In some rows B grows <A> u B further without filling the grid.
+    axes = tuple(range(1, a.ndim))
+    assert ((joint != (closed | b)).any(axis=axes) & ~joint.all(axis=axes)).any()
+
+
 @ENGINES
 def test_crossing_commutes_with_reflection_and_transposition(plane_vertices, monkeypatch):
     if plane_vertices is not None:

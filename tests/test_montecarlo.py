@@ -70,6 +70,16 @@ def test_wilson_interval_known_values():
         wilson_interval(0, 0)
 
 
+def test_wilson_interval_holds_its_estimate():
+    # The exact Wilson bounds are 0 at no successes and 1 at all successes.
+    for n in range(1, 2001):
+        assert wilson_interval(0, n)[0] == 0.0 and wilson_interval(n, n)[1] == 1.0
+    for n in range(1, 400):
+        for s in range(n + 1):
+            lo, hi = wilson_interval(s, n)
+            assert lo <= s / n <= hi
+
+
 def test_trial_rng_reproducible_and_distinct():
     a = trial_rng(42, 0).random(4)
     b = trial_rng(42, 0).random(4)
@@ -723,11 +733,13 @@ def random_block(rng, rows, shape):
     return rng.random((rows,) + shape) < density
 
 
-# mc_small's rows of 4 and 16 cells, a grid of 12 axes (the axis budget), and
+# mc_small's rows of 4 and 16 cells, a grid of 12 axes (the axis budget),
 # 130 x 130, which has more than 2**14 vertices, so a single grid takes the
-# np.unique rounds.
+# np.unique rounds, and r = 1 on grids with axes longer than 1 (the star's
+# thresholds are 1 and 2), so the plane rounds run at r = 1.
 ENGINE_SPECS = CLOSURE_SPECS + [StructureSpec.plain(2, 2, 2), StructureSpec.plain(4, 2, 2),
-                                StructureSpec.plain(2, 12, 2), StructureSpec.plain(130, 2, 2)]
+                                StructureSpec.plain(2, 12, 2), StructureSpec.plain(130, 2, 2),
+                                StructureSpec.plain(5, 2, 1), StructureSpec.star(4, 2, 1, 1)]
 
 
 # No row, one grid (the frontier engine), and bit planes of one partly filled
