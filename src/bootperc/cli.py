@@ -260,10 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("threshold", help="bisection estimate of p_alpha")
     sub.add_argument("--alpha", type=float, required=True)
     sub.add_argument("--structure", required=True)
-    sub.add_argument("--event", required=True)
-    sub.add_argument("--trials", type=int, required=True)
+    sub.add_argument("--event", required=True, help="an increasing event: any kind but spans")
+    sub.add_argument("--trials", type=int, required=True,
+                     help="initial sets drawn, once each, and read at every step; "
+                          "totalTrials prints this count, or 0 when no step runs")
     sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--ptol", type=float, required=True)
+    sub.add_argument("--ptol", type=float, required=True,
+                     help="bracket width to reach, above 2**-53")
     _event_flags(sub)
     sub.set_defaults(func=_cmd_threshold)
 

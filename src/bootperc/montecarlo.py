@@ -4,8 +4,8 @@ probabilities, plus the sweep runner.
 Per-trial randomness comes from a counter-style Philox stream keyed on
 (master seed, trial index), so estimates are reproducible regardless of
 execution order.  ``trial_rng`` and ``sample_bin`` give one trial's stream
-and initial set.  The estimators draw the same sets in blocks of trials
-(``sample_blocks``).  On a structure of fewer than ``_VECTOR_VERTICES``
+and initial set.  The estimators draw the same sets in blocks of trials by
+one draw loop (``_draw_blocks``).  On a structure of fewer than ``_VECTOR_VERTICES``
 vertices a block's Philox words are computed for all its trials at once
 (``_philox_words``, since Philox is counter based); on a larger one a Philox
 bit generator is re-keyed to (master seed, t) for each trial t.  A block is
@@ -14,9 +14,12 @@ which answers for each row; ``EventSpec.evaluate`` is its form for one
 initial set.  A block holds whole words of the closure engine's bit planes,
 64 * W trials, by ``dynamics.block_rows``, which lives beside the rule that
 picks the engine.  Every estimator turns raw Philox words into indicators
-by one uniform rule (``_hits``) and draws at most ``BLOCK_VERTICES`` words
-at a time; ``estimate_lgap`` reads trial t at its fixed position in one
-stream, so no estimate depends on the block size.
+by one uniform rule (``_hits``, a numerator below ``_cut(p)``) and draws at
+most ``BLOCK_VERTICES`` words at a time; ``estimate_lgap`` reads trial t at
+its fixed position in one stream, so no estimate depends on the block size.
+``sample_blocks`` keeps a drawn block's indicators at one p, and
+``estimate_p_alpha`` its numerators, which fix every trial at every
+density, so it draws each trial once and bisects each row on its own words.
 """
 
 from __future__ import annotations
@@ -77,6 +80,16 @@ _FIELDS = {
     SEMI_CROSSED: ("rectangle", "axis"),
     LONG_SPAN: ("long_threshold",),
 }
+
+
+def _check_increasing(kind: str) -> None:
+    """The rule for bisecting on an event: it increases with the initial set,
+    and so with p.  Every kind but ``spans`` does; a span equal to R can be
+    lost by adding cells, so its probability need not cross alpha once."""
+    if kind == SPANS:
+        raise DomainError(f"a {kind} event does not increase with p, so bisection "
+                          "does not locate its p_alpha")
+
 
 # Raw words drawn at once for B >= 1 trials of W words each (W = |V| for an
 # initial set): B * W <= BLOCK_VERTICES, so they take at most 512 KiB unless
@@ -250,11 +263,23 @@ def sample_bin(region, p: float, rng: np.random.Generator) -> CellSet:
     return CellSet.from_mask(rng.random(shape) < p)
 
 
+def _cut(p):
+    """The integer cut of the uniform rule, ceil(p * 2**53) as uint64, of a
+    density or of an array of densities in [0, 1]."""
+    return np.ceil(np.multiply(p, 2.0 ** 53)).astype(np.uint64)
+
+
+def _numerators(words: np.ndarray) -> np.ndarray:
+    """The 53-bit numerators w >> 11 of ``Generator.random``'s uniforms
+    (w >> 11) * 2**-53, shifted in place."""
+    return np.right_shift(words, 11, out=words)
+
+
 def _hits(words: np.ndarray, p: float) -> np.ndarray:
     """The uniform rule: raw Philox word w is a hit of probability p when the
     uniform (w >> 11) * 2**-53 of ``Generator.random`` is below p, that is
-    when (w >> 11) < ceil(p * 2**53) as uint64.  ``words`` is shifted in place."""
-    return np.right_shift(words, 11, out=words) < np.uint64(math.ceil(p * 2.0 ** 53))
+    when (w >> 11) < ``_cut(p)``.  ``words`` is shifted in place."""
+    return _numerators(words) < _cut(p)
 
 
 def _philox_words(seed_word: int, first: int, count: int, size: int) -> np.ndarray:
@@ -311,21 +336,17 @@ def _philox_words(seed_word: int, first: int, count: int, size: int) -> np.ndarr
     return np.stack(x, axis=-1).reshape(count, 4 * shape[1])[:, :size]
 
 
-def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
-    """The initial sets of trials 0, ..., trials - 1 as bool blocks of shape
-    ``(B, *spec.shape)``, in trial order, of ``block_rows(|V|)`` trials but
-    the last.
+def _draw_blocks(size: int, master_seed: int, trials: int, keep, dtype):
+    """The raw words [0, size) of the streams of trials 0, ..., trials - 1,
+    each through ``keep``, as ``(B, size)`` blocks of ``dtype`` in trial order,
+    of ``block_rows(size)`` trials but the last.
 
-    Row t is ``sample_bin(spec, p, trial_rng(master_seed, t)).mask``: the raw
-    words of trial t's stream go through ``_hits``, at most
+    Row t reads ``trial_rng(master_seed, t)``'s words, at most
     ``BLOCK_VERTICES`` words at a time.  Below ``_VECTOR_VERTICES`` vertices
     those words are computed for all their trials at once
     (``_philox_words``); otherwise one Philox bit generator is re-keyed to
     (master_seed, t) with a zero counter for each trial.
     """
-    p = check_probability(p, "p")
-    trials = check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
-    size = spec.num_vertices
     rows, step = block_rows(size), max(1, BLOCK_VERTICES // size)
     seed_word = _seed_word(master_seed)
     bits = np.random.Philox(key=0)
@@ -336,7 +357,7 @@ def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for first in range(0, trials, rows):
         stop = min(first + rows, trials)
-        block = np.empty((stop - first, size), dtype=bool)
+        block = np.empty((stop - first, size), dtype=dtype)
         for start in range(first, stop, step):
             count = min(step, stop - start)
             if size < _VECTOR_VERTICES:
@@ -347,8 +368,23 @@ def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
                     key[0] = start + i
                     bits.state = state
                     words[i] = bits.random_raw(size)
-            block[start - first:start - first + count] = _hits(words, p)
-        yield block.reshape((stop - first,) + spec.shape)
+            block[start - first:start - first + count] = keep(words)
+        yield block
+
+
+def sample_blocks(spec: StructureSpec, p: float, master_seed: int, trials: int):
+    """The initial sets of trials 0, ..., trials - 1 as bool blocks of shape
+    ``(B, *spec.shape)``, in trial order, of ``block_rows(|V|)`` trials but
+    the last.
+
+    Row t is ``sample_bin(spec, p, trial_rng(master_seed, t)).mask``: the raw
+    words of trial t's stream (``_draw_blocks``) go through ``_hits``.
+    """
+    p = check_probability(p, "p")
+    trials = check_number(trials, "trials", numbers.Integral, 1, _KEY_WORDS)
+    for block in _draw_blocks(spec.num_vertices, master_seed, trials,
+                              lambda words: _hits(words, p), bool):
+        yield block.reshape((len(block),) + spec.shape)
 
 
 def estimate_event_prob(event: EventSpec, p: float, trials: int,
@@ -373,36 +409,93 @@ def _check_event_structure(event: EventSpec, spec: StructureSpec) -> None:
         raise DomainError(f"event is on {event.structure}, not on {spec}")
 
 
+def _least_holding(event: EventSpec, cells: np.ndarray, steps: int) -> np.ndarray:
+    """For each row of a ``(B, |V|)`` block of uniforms on the grid of
+    ``steps`` levels, the least point i * 2**-steps at which the event held
+    along the row's own ``steps``-step bisection of [0, 1], as the uint64 i;
+    2**steps if it held at no midpoint.
+
+    ``cells`` holds each uniform's numerator (w >> 11) shifted right by
+    53 - steps.  At a grid point p, ``_cut(p)`` is a multiple of
+    2**(53 - steps), so the row's set at p, the vertices whose numerator is
+    below ``_cut(p)``, is those whose cell is below the cut shifted alike.
+    An increasing event then holds at every grid point from the returned one
+    up, and at none below it.
+    """
+    rows, shape = len(cells), event.structure.shape
+    shift = np.uint64(53 - steps)
+    lo = np.zeros(rows, np.uint64)
+    for level in reversed(range(steps)):
+        half = np.uint64(1 << level)
+        cut = (_cut((lo + half) * 2.0 ** -steps) >> shift).astype(cells.dtype)
+        held = event.holds((cells < cut[:, None]).reshape((rows,) + shape))
+        lo += ~held * half
+    return lo + np.uint64(1)
+
+
 def estimate_p_alpha(spec: StructureSpec, event, alpha: float,
                      trials_per_eval: int, seed: int, p_tol: float) -> Estimate:
     """Stochastic bisection for p_alpha = inf{p : P(event at p) >= alpha}.
 
-    ``event`` is an event kind on ``spec`` or an EventSpec whose structure
-    must be ``spec``.  Each midpoint gets a fresh derived seed; the returned
-    interval is the final bisection bracket, not a guaranteed confidence
-    interval.
+    ``event`` is an increasing event kind on ``spec`` or an EventSpec whose
+    structure must be ``spec``; ``spans`` is refused.  The bisection halves
+    [0, 1] until the bracket is narrower than ``p_tol``, which must exceed
+    2**-53, the resolution of a uniform.  At each midpoint it estimates
+    P(event) over trials 0, ..., trials_per_eval - 1 at master seed ``seed``,
+    so it returns what bisection on
+    ``estimate_event_prob(event, mid, trials_per_eval, seed)`` returns.
+
+    Each trial is drawn once: trial t's set at density p is the vertices
+    whose numerator (w >> 11) is below ``_cut(p)``, so one draw fixes it at
+    every density, and of each numerator only the bits the grid of midpoints
+    resolves are kept.  Each row bisects on its own and keeps the least grid
+    point at which the increasing event held (``_least_holding``); every
+    midpoint of the common bisection lies on that grid, so a trial holds
+    there exactly when its point is at most the midpoint.  Only the count of
+    each distinct point is kept across blocks.  ``trials`` of the result
+    counts the initial sets drawn: ``trials_per_eval``, or 0 when no step
+    runs.  The returned interval is the final bisection bracket, not a
+    guaranteed confidence interval.
     """
     if not 0.0 < check_number(alpha, "alpha") < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    if not check_number(p_tol, "p_tol") > 0.0:
-        raise DomainError("p_tol must be positive")
+    if not check_number(p_tol, "p_tol") > 2.0 ** -53:
+        raise DomainError("p_tol must exceed 2**-53, the resolution of a uniform")
     trials_per_eval = check_number(trials_per_eval, "trials", numbers.Integral, 1, _KEY_WORDS)
     seed = check_number(seed, "master seed", numbers.Integral)
     if not isinstance(event, EventSpec):
         event = EventSpec(event, spec)
     _check_event_structure(event, spec)
-    lo, hi = 0.0, 1.0
-    evals = 0
-    while hi - lo >= p_tol:
-        mid = 0.5 * (lo + hi)
-        est = estimate_event_prob(event, mid, trials_per_eval,
-                                  derive_seed(seed, evals))
-        evals += 1
-        if est.p_hat >= alpha:
+    _check_increasing(event.kind)
+    steps = 0
+    while 2.0 ** -steps >= p_tol:
+        steps += 1
+    if not steps:
+        return Estimate(0.5, 0, 0.0, 1.0, seed)
+    # A cell needs only the numerator's top ``steps`` bits, in the least
+    # unsigned type that holds them.
+    shift = np.uint64(53 - steps)
+    cells = _draw_blocks(spec.num_vertices, seed, trials_per_eval,
+                         lambda words: np.right_shift(_numerators(words), shift, out=words),
+                         np.min_scalar_type((1 << steps) - 1))
+    points, counts = np.empty(0, np.uint64), np.empty(0, np.int64)
+    for block in cells:
+        new, number = np.unique(_least_holding(event, block, steps), return_counts=True)
+        merged = np.union1d(points, new)
+        total = np.zeros(len(merged), np.int64)
+        total[np.searchsorted(merged, points)] += counts
+        total[np.searchsorted(merged, new)] += number
+        points, counts = merged, total
+    lo, hi = 0, 1 << steps
+    for _ in range(steps):
+        mid = (lo + hi) // 2
+        held = int(counts[:np.searchsorted(points, mid, "right")].sum())
+        if held / trials_per_eval >= alpha:
             hi = mid
         else:
             lo = mid
-    return Estimate(0.5 * (lo + hi), evals * trials_per_eval, lo, hi, seed)
+    lo, hi = math.ldexp(lo, -steps), math.ldexp(hi, -steps)
+    return Estimate(0.5 * (lo + hi), trials_per_eval, lo, hi, seed)
 
 
 def estimate_lgap(ell: int, m: int, u: float, trials: int, master_seed: int) -> Estimate:

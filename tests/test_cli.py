@@ -168,6 +168,27 @@ def test_threshold_command(capsys, tmp_path):
     assert abs(value - 0.54120) < 0.05
 
 
+def test_threshold_output_is_pinned(capsys, tmp_path):
+    # Each trial is drawn once and read at every step, so totalTrials is
+    # --trials.
+    struct = tmp_path / "s.json"
+    struct.write_text(json.dumps({"family": "plain", "n": 4, "d": 2, "r": 2}))
+    code, out, _ = run(capsys, "threshold", "--alpha", "0.5", "--structure", str(struct),
+                       "--event", "percolates", "--trials", "500", "--seed", "17",
+                       "--ptol", "0.01")
+    assert code == 0
+    assert out.splitlines()[-1] == "pAlpha=0.3632812 bracket=[0.359375, 0.3671875] totalTrials=500"
+
+
+def test_threshold_refuses_spans(capsys, tmp_path):
+    struct = write_json(tmp_path, "s.json", {"family": "plain", "n": 4, "d": 2, "r": 2})
+    result = run(capsys, "threshold", "--alpha", "0.5", "--structure", struct,
+                 "--event", "spans", "--rect", "1,1,2,2", "--trials", "20", "--seed", "1",
+                 "--ptol", "0.1")
+    assert_clean_config_error(*result)
+    assert "does not increase with p" in result[2]
+
+
 def test_sweep_command(capsys, tmp_path):
     config = {
         "masterSeed": 5,

@@ -49,6 +49,7 @@ from bootperc.montecarlo import (
     trial_rng,
     wilson_interval,
     _VECTOR_VERTICES,
+    _draw_blocks,
     _philox_words,
     _seed_word,
 )
@@ -213,6 +214,70 @@ def test_estimate_p_alpha_refuses_event_on_another_structure():
         estimate_p_alpha(spec, other, 0.5, 50, 3, 0.1)
 
 
+def test_estimate_p_alpha_refuses_an_event_that_does_not_increase():
+    # A span equal to R can be lost by adding cells, so P(spans) need not
+    # cross alpha once and bisection does not locate its p_alpha.
+    spec = StructureSpec.plain(4, 2, 2)
+    event = EventSpec("spans", spec, Rectangle((1, 1), (2, 2)))
+    with pytest.raises(DomainError, match="does not increase with p") as info:
+        estimate_p_alpha(spec, event, 0.5, 50, 3, 0.1)
+    assert "\n" not in str(info.value)
+
+
+def bisection_oracle(event, alpha, trials, seed, p_tol):
+    """The bisection bracket with ``estimate_event_prob`` at one master seed
+    on every step."""
+    lo, hi = 0.0, 1.0
+    while hi - lo >= p_tol:
+        mid = 0.5 * (lo + hi)
+        if estimate_event_prob(event, mid, trials, seed).p_hat >= alpha:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+# Every increasing kind, each at an alpha whose root is inside (0, 1).
+ALPHA_STAR = StructureSpec.star(4, 2, 1, 2)
+P_ALPHA_CASES = [
+    (EventSpec("percolates", StructureSpec.plain(3, 3, 3)), 0.5),
+    (EventSpec("semi_percolates", ALPHA_STAR), 0.3),
+    (EventSpec("crossed", StructureSpec.slab(4, 2, 1, 3, 2), Rectangle((1, 1), (4, 3)),
+               direction=BOTTOM_TO_TOP), 0.5),
+    (EventSpec("semi_crossed", ALPHA_STAR, Rectangle((2, 1), (3, 4)), axis=1), 0.7),
+    (EventSpec("long_span", StructureSpec.plain(5, 2, 2), long_threshold=3), 0.5),
+]
+
+
+@pytest.mark.parametrize("plane_vertices", [None, 0], ids=["planes", "frontier"])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("event,alpha", P_ALPHA_CASES, ids=[e.kind for e, _ in P_ALPHA_CASES])
+def test_estimate_p_alpha_equals_bisection_on_estimate_event_prob(event, alpha, seed,
+                                                                  plane_vertices, monkeypatch):
+    if plane_vertices is not None:
+        monkeypatch.setattr("bootperc.dynamics._PLANE_VERTICES", plane_vertices)
+    spec = event.structure
+    est = estimate_p_alpha(spec, event, alpha, 100, seed, 0.01)
+    assert (est.ci_low, est.ci_high) == bisection_oracle(event, alpha, 100, seed, 0.01)
+    assert est.trials == 100 and 0.0 < est.ci_low < est.ci_high < 1.0
+
+
+@pytest.mark.parametrize("spec,trials,p_tol", [
+    (StructureSpec.plain(2, 2, 2), 2 ** 16 + 5, 0.1),  # two blocks of rows
+    (StructureSpec.plain(2, 2, 2), 10, 2.0 ** -52),  # 53 steps, the most
+    (StructureSpec.plain(182, 2, 2), 3, 0.02),  # over 2**15 cells: one trial a block
+], ids=["two-blocks", "53-steps", "one-trial-blocks"])
+def test_estimate_p_alpha_equals_bisection_across_blocks(spec, trials, p_tol):
+    event = EventSpec("percolates", spec)
+    got = estimate_p_alpha(spec, event, 0.5, trials, 2 ** 64 - 1, p_tol)
+    assert (got.ci_low, got.ci_high) == bisection_oracle(event, 0.5, trials, 2 ** 64 - 1, p_tol)
+
+
+def test_estimate_p_alpha_with_no_step_draws_nothing():
+    est = estimate_p_alpha(StructureSpec.plain(2, 2, 2), "percolates", 0.5, 10, 1, 1.5)
+    assert est == Estimate(0.5, 0, 0.0, 1.0, 1)
+
+
 def test_estimate_lgap_matches_exact():
     for ell, m, u in [(0, 4, 0.5), (1, 6, 0.35), (2, 3, 0.6)]:
         exact = l_exact(ell, m, u)
@@ -355,6 +420,19 @@ def test_philox_words_equal_random_raw(size, seed):
         for t, row in enumerate(words, start=first):
             want = np.random.Philox(key=seed_word * 2 ** 64 + t).random_raw(size)
             assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("block", [BLOCK_VERTICES, 150])
+@pytest.mark.parametrize("size", [3, _VECTOR_VERTICES - 1, _VECTOR_VERTICES, 100])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_draw_blocks_rows_are_the_trial_streams(size, seed, block, monkeypatch):
+    # Chunks of one trial, of several and of the whole block, on both sides
+    # of _VECTOR_VERTICES; row t is trial t's first size raw words.
+    monkeypatch.setattr("bootperc.montecarlo.BLOCK_VERTICES", block)
+    rows = np.concatenate(list(_draw_blocks(size, seed, 7, lambda words: words, np.uint64)))
+    assert rows.shape == (7, size) and rows.dtype == np.uint64
+    for t, row in enumerate(rows):
+        assert np.array_equal(row, trial_rng(seed, t).bit_generator.random_raw(size))
 
 
 def test_sample_blocks_cut_is_exact_at_a_drawn_uniform():
@@ -581,6 +659,8 @@ WHOLE = Rectangle((1, 1), (4, 4))
     (lambda: estimate_p_alpha(StructureSpec.plain(3, 2, 2), "percolates", 0.5, 2 ** 64 + 1,
                               1, 2.0), "trials = 18446744073709551617 outside"),
     (lambda: estimate_lgap(1, -1, 0.5, 10, 1), "m = -1 outside"),
+    (lambda: estimate_p_alpha(StructureSpec.plain(3, 2, 2), "percolates", 0.5, 10, 1,
+                              2.0 ** -53), "p_tol must exceed 2"),
     (lambda: has_double_gap((4, 4), [], axes=[0]), "axis = 0 outside"),
     (lambda: find_spanned_component(STAR, CellSet(STAR.shape), 0), "target length = 0 outside"),
     (lambda: l_exact(1, -2, 0.5), "m = -2 outside"),
@@ -596,7 +676,7 @@ WHOLE = Rectangle((1, 1), (4, 4))
         "abs_tol-past-float", "trials-past-64-bits", "lambda-d-past-float",
         "lambda-d-past-float-r3", "lambda_table-d_max-past-float", "structure-d-zero",
         "structure-r-zero", "structure-ell-negative", "p_alpha-trials-past-64-bits",
-        "lgap-m-negative", "double-gap-axis-zero", "component-length-zero",
+        "lgap-m-negative", "p_tol-below-a-uniform", "double-gap-axis-zero", "component-length-zero",
         "l_exact-m-below-minus-one", "lambda-r-one", "g-z-inf", "g-z-float64-inf", "g-z-nan",
         "long-threshold-inf", "lgap-width-past-int64"])
 def test_values_out_of_their_range_are_refused(make, message):
@@ -907,6 +987,22 @@ def test_fixed_seed_success_counts_are_pinned(event, p, trials, counts):
     got = tuple(round(estimate_event_prob(event, p, trials, seed).p_hat * trials)
                 for seed in (1, 2 ** 64 - 1))
     assert got == counts
+
+
+# p_alpha brackets at alpha = 1/2, 200 trials and p_tol 0.005 (eight steps),
+# at master seeds 1 and 2**64 - 1, from one draw of each trial.
+PINNED_BRACKETS = [
+    (StructureSpec.plain(16, 2, 2), ((0.13671875, 0.140625), (0.12890625, 0.1328125))),
+    (PLAIN32, ((0.0859375, 0.08984375), (0.0859375, 0.08984375))),
+]
+
+
+@pytest.mark.parametrize("spec,brackets", PINNED_BRACKETS, ids=["plain16", "plain32"])
+def test_fixed_seed_p_alpha_brackets_are_pinned(spec, brackets):
+    got = tuple((est.ci_low, est.ci_high) for est in
+                (estimate_p_alpha(spec, "percolates", 0.5, 200, seed, 0.005)
+                 for seed in (1, 2 ** 64 - 1)))
+    assert got == brackets
 
 
 def test_fixed_seed_sweep_csv_is_pinned(tmp_path):
