@@ -14,12 +14,14 @@ which answers for each row; ``EventSpec.evaluate`` is its form for one
 initial set.  A block holds whole words of the closure engine's bit planes,
 64 * W trials, by ``dynamics.block_rows``, which lives beside the rule that
 picks the engine.  Every estimator turns raw Philox words into indicators
-by one uniform rule (``_hits``, a numerator below ``_cut(p)``) and draws at
-most ``BLOCK_VERTICES`` words at a time; ``estimate_lgap`` reads trial t at
-its fixed position in one stream, so no estimate depends on the block size.
-``sample_blocks`` keeps a drawn block's indicators at one p, and
-``estimate_p_alpha`` its numerators, which fix every trial at every
-density, so it draws each trial once and bisects each row on its own words.
+by one uniform rule (``_hits``, a numerator w >> 11 below ceil(p * 2**53))
+and draws at most ``BLOCK_VERTICES`` words at a time; ``estimate_lgap`` reads
+trial t at its fixed position in one stream, so no estimate depends on the
+block size.  ``sample_blocks`` keeps a drawn block's indicators at one p,
+and ``estimate_p_alpha`` each word's top bits, which fix every trial at every
+density of its grid, so it draws each trial once, brackets each row on its
+own words (``_row_brackets``) and reads its bracket as an order statistic of
+the rows' brackets.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 import math
 import numbers
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +211,11 @@ class EventSpec:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo point estimate with its Wilson 95% interval."""
+    """A Monte Carlo estimate.  Of ``estimate_event_prob``, ``estimate_lgap``
+    and a sweep row: the share ``p_hat`` of ``trials`` trials in which the
+    event held, with its Wilson 95% interval.  Of ``estimate_p_alpha``: the
+    midpoint and ends of the final bracket, with ``trials`` the initial sets
+    drawn."""
 
     p_hat: float
     trials: int
@@ -263,23 +270,11 @@ def sample_bin(region, p: float, rng: np.random.Generator) -> CellSet:
     return CellSet.from_mask(rng.random(shape) < p)
 
 
-def _cut(p):
-    """The integer cut of the uniform rule, ceil(p * 2**53) as uint64, of a
-    density or of an array of densities in [0, 1]."""
-    return np.ceil(np.multiply(p, 2.0 ** 53)).astype(np.uint64)
-
-
-def _numerators(words: np.ndarray) -> np.ndarray:
-    """The 53-bit numerators w >> 11 of ``Generator.random``'s uniforms
-    (w >> 11) * 2**-53, shifted in place."""
-    return np.right_shift(words, 11, out=words)
-
-
 def _hits(words: np.ndarray, p: float) -> np.ndarray:
     """The uniform rule: raw Philox word w is a hit of probability p when the
     uniform (w >> 11) * 2**-53 of ``Generator.random`` is below p, that is
-    when (w >> 11) < ``_cut(p)``.  ``words`` is shifted in place."""
-    return _numerators(words) < _cut(p)
+    when (w >> 11) < ceil(p * 2**53) as uint64.  ``words`` is shifted in place."""
+    return np.right_shift(words, 11, out=words) < np.uint64(math.ceil(p * 2.0 ** 53))
 
 
 def _philox_words(seed_word: int, first: int, count: int, size: int) -> np.ndarray:
@@ -409,53 +404,49 @@ def _check_event_structure(event: EventSpec, spec: StructureSpec) -> None:
         raise DomainError(f"event is on {event.structure}, not on {spec}")
 
 
-def _least_holding(event: EventSpec, cells: np.ndarray, steps: int) -> np.ndarray:
-    """For each row of a ``(B, |V|)`` block of uniforms on the grid of
-    ``steps`` levels, the least point i * 2**-steps at which the event held
-    along the row's own ``steps``-step bisection of [0, 1], as the uint64 i;
-    2**steps if it held at no midpoint.
+def _row_brackets(event: EventSpec, cells: np.ndarray, steps: int) -> np.ndarray:
+    """For each row of a ``(B, |V|)`` block of cells, the low end L of the
+    row's own ``steps``-step bisection bracket on the grid i * 2**-steps, in
+    the cells' dtype: the event fails at grid point L and holds at L + 1,
+    where the ends 0 and 2**steps count as failing and holding.
 
-    ``cells`` holds each uniform's numerator (w >> 11) shifted right by
-    53 - steps.  At a grid point p, ``_cut(p)`` is a multiple of
-    2**(53 - steps), so the row's set at p, the vertices whose numerator is
-    below ``_cut(p)``, is those whose cell is below the cut shifted alike.
-    An increasing event then holds at every grid point from the returned one
-    up, and at none below it.
+    ``cells`` holds the top ``steps`` bits w >> (64 - steps) of each raw
+    word w.  At grid point i * 2**-steps the uniform rule's cut
+    ceil(p * 2**53) is i * 2**(53 - steps), so the row's set there is the
+    vertices whose cell is below i.
     """
     rows, shape = len(cells), event.structure.shape
-    shift = np.uint64(53 - steps)
-    lo = np.zeros(rows, np.uint64)
+    lo = np.zeros(rows, cells.dtype)
     for level in reversed(range(steps)):
-        half = np.uint64(1 << level)
-        cut = (_cut((lo + half) * 2.0 ** -steps) >> shift).astype(cells.dtype)
-        held = event.holds((cells < cut[:, None]).reshape((rows,) + shape))
+        half = cells.dtype.type(1 << level)
+        held = event.holds((cells < (lo + half)[:, None]).reshape((rows,) + shape))
         lo += ~held * half
-    return lo + np.uint64(1)
+    return lo
 
 
 def estimate_p_alpha(spec: StructureSpec, event, alpha: float,
                      trials_per_eval: int, seed: int, p_tol: float) -> Estimate:
-    """Stochastic bisection for p_alpha = inf{p : P(event at p) >= alpha}.
+    """The bisection bracket of p_alpha = inf{p : P(event at p) >= alpha}.
 
     ``event`` is an increasing event kind on ``spec`` or an EventSpec whose
-    structure must be ``spec``; ``spans`` is refused.  The bisection halves
-    [0, 1] until the bracket is narrower than ``p_tol``, which must exceed
-    2**-53, the resolution of a uniform.  At each midpoint it estimates
-    P(event) over trials 0, ..., trials_per_eval - 1 at master seed ``seed``,
-    so it returns what bisection on
-    ``estimate_event_prob(event, mid, trials_per_eval, seed)`` returns.
+    structure must be ``spec``; ``spans`` is refused.  The bracket is the
+    one that bisection of [0, 1] on
+    ``estimate_event_prob(event, mid, trials_per_eval, seed)`` returns once
+    it is narrower than ``p_tol``, which must exceed 2**-53, the resolution
+    of a uniform.  That takes K steps, and every midpoint lies on the grid
+    i * 2**-K.
 
-    Each trial is drawn once: trial t's set at density p is the vertices
-    whose numerator (w >> 11) is below ``_cut(p)``, so one draw fixes it at
-    every density, and of each numerator only the bits the grid of midpoints
-    resolves are kept.  Each row bisects on its own and keeps the least grid
-    point at which the increasing event held (``_least_holding``); every
-    midpoint of the common bisection lies on that grid, so a trial holds
-    there exactly when its point is at most the midpoint.  Only the count of
-    each distinct point is kept across blocks.  ``trials`` of the result
-    counts the initial sets drawn: ``trials_per_eval``, or 0 when no step
-    runs.  The returned interval is the final bisection bracket, not a
-    guaranteed confidence interval.
+    Each trial t < trials_per_eval is drawn once at master seed ``seed``:
+    of each raw word only its top K bits are kept, which fix the trial's
+    set at every grid point.  Each row bisects on its own to its bracket
+    [L_t, L_t + 1] * 2**-K (``_row_brackets``); the increasing event holds
+    in trial t at grid point i exactly when L_t < i, and the share of such
+    trials grows with i.  So the bracket's low end is the least L with
+    #{t : L_t <= L} / trials_per_eval >= alpha, an order statistic of the
+    L_t, read from the count of each distinct L_t kept across blocks.
+    ``trials`` of the result counts the initial sets drawn:
+    ``trials_per_eval``, or 0 when no step runs.  The returned interval is
+    the final bracket, not a confidence interval.
     """
     if not 0.0 < check_number(alpha, "alpha") < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
@@ -472,29 +463,23 @@ def estimate_p_alpha(spec: StructureSpec, event, alpha: float,
         steps += 1
     if not steps:
         return Estimate(0.5, 0, 0.0, 1.0, seed)
-    # A cell needs only the numerator's top ``steps`` bits, in the least
-    # unsigned type that holds them.
-    shift = np.uint64(53 - steps)
+    # A cell needs only a word's top ``steps`` bits, in the least unsigned
+    # type that holds them.
+    shift = np.uint64(64 - steps)
     cells = _draw_blocks(spec.num_vertices, seed, trials_per_eval,
-                         lambda words: np.right_shift(_numerators(words), shift, out=words),
+                         lambda words: np.right_shift(words, shift, out=words),
                          np.min_scalar_type((1 << steps) - 1))
-    points, counts = np.empty(0, np.uint64), np.empty(0, np.int64)
+    counts = Counter()
     for block in cells:
-        new, number = np.unique(_least_holding(event, block, steps), return_counts=True)
-        merged = np.union1d(points, new)
-        total = np.zeros(len(merged), np.int64)
-        total[np.searchsorted(merged, points)] += counts
-        total[np.searchsorted(merged, new)] += number
-        points, counts = merged, total
-    lo, hi = 0, 1 << steps
-    for _ in range(steps):
-        mid = (lo + hi) // 2
-        held = int(counts[:np.searchsorted(points, mid, "right")].sum())
+        lows, number = np.unique(_row_brackets(event, block, steps), return_counts=True)
+        counts.update(dict(zip(lows.tolist(), number.tolist())))
+    # alpha < 1, so the walk stops at the latest when held = trials_per_eval.
+    held = 0
+    for low in sorted(counts):
+        held += counts[low]
         if held / trials_per_eval >= alpha:
-            hi = mid
-        else:
-            lo = mid
-    lo, hi = math.ldexp(lo, -steps), math.ldexp(hi, -steps)
+            break
+    lo, hi = math.ldexp(low, -steps), math.ldexp(low + 1, -steps)
     return Estimate(0.5 * (lo + hi), trials_per_eval, lo, hi, seed)
 
 

@@ -515,6 +515,19 @@ def test_readme_inputs_run(capsys, tmp_path):
         assert code == 0, (argv[0], err)
 
 
+def test_readme_library_example_prints_its_comments(capsys):
+    # Each line README.md's library example prints is its print's trailing
+    # comment, or starts with it less a closing "...".
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [example] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    comments = re.findall(r"^print\(.*# (.*)$", example, re.M)
+    exec(example, {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(comments) == 3
+    for line, comment in zip(printed, comments):
+        assert (line.startswith(comment[:-3]) if comment.endswith("...") else line == comment)
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_lambda_non_finite_tolerance_is_config_error(capsys, tol):
     result = run(capsys, "lambda", "--d", "3", "--r", "2", "--tol", tol)

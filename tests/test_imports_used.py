@@ -8,9 +8,13 @@ name anywhere in the module, annotations included.  The package
 imports.  A private name (``_name``, not a dunder) defined at module level
 counts as used when a statement other than its definition reads it, as a
 name, an attribute or an imported name, in any module of the package.
+A private name written in double backticks in the package's source, alone
+or with call parentheses (``_name`` or ``_name(p)``), is a module-level
+name of the package, so no docstring names a helper that is gone.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -86,3 +90,28 @@ def test_unused_private_names_are_found():
 def test_every_private_name_is_used():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+# A private name in double backticks, with or without call parentheses.
+_MENTION = re.compile(r"``(_[A-Za-z]\w*)(?:\([^`]*\))?``")
+
+
+def stale_mentions(sources: dict[str, str]) -> list[str]:
+    """The private names that ``sources`` (module name to source) write in
+    double backticks and that no module of ``sources`` defines at module
+    level."""
+    defined = {name for source in sources.values()
+               for node in ast.parse(source).body for name in _defined(node)}
+    return [name for source in sources.values()
+            for name in _MENTION.findall(source) if name not in defined]
+
+
+def test_stale_mentions_are_found():
+    sources = {"a": '"""``_f``, ``_g(x)``, ``_A``, ``a._C``, ``h``."""\n_A = 1\ndef _f():\n    pass',
+               "b": '"""``_gone(p)`` and ``_B(1, 2)``."""\n_B = 2'}
+    assert stale_mentions(sources) == ["_g", "_gone"]
+
+
+def test_every_private_name_in_backticks_is_defined():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert stale_mentions(sources) == []

@@ -50,6 +50,7 @@ from bootperc.montecarlo import (
     wilson_interval,
     _VECTOR_VERTICES,
     _draw_blocks,
+    _hits,
     _philox_words,
     _seed_word,
 )
@@ -266,11 +267,27 @@ def test_estimate_p_alpha_equals_bisection_on_estimate_event_prob(event, alpha, 
     (StructureSpec.plain(2, 2, 2), 2 ** 16 + 5, 0.1),  # two blocks of rows
     (StructureSpec.plain(2, 2, 2), 10, 2.0 ** -52),  # 53 steps, the most
     (StructureSpec.plain(182, 2, 2), 3, 0.02),  # over 2**15 cells: one trial a block
-], ids=["two-blocks", "53-steps", "one-trial-blocks"])
+    # K steps keep K-bit cells: uint16 at 9 and 16, uint32 at 17 and 32, uint64 at 33.
+    *[(StructureSpec.plain(2, 2, 2), 10, math.ldexp(1.5, -steps)) for steps in (9, 16, 17, 32, 33)],
+], ids=["two-blocks", "53-steps", "one-trial-blocks",
+        "9-steps", "16-steps", "17-steps", "32-steps", "33-steps"])
 def test_estimate_p_alpha_equals_bisection_across_blocks(spec, trials, p_tol):
     event = EventSpec("percolates", spec)
     got = estimate_p_alpha(spec, event, 0.5, trials, 2 ** 64 - 1, p_tol)
     assert (got.ci_low, got.ci_high) == bisection_oracle(event, 0.5, trials, 2 ** 64 - 1, p_tol)
+
+
+def test_top_bits_below_a_grid_index_are_the_uniform_rule():
+    # At grid point i * 2**-K the uniform rule's cut ceil(p * 2**53) is
+    # i * 2**(53 - K), so word w is a hit exactly when (w >> (64 - K)) < i:
+    # the comparison each row of estimate_p_alpha makes.
+    for steps in range(1, 54):
+        unit = 1 << (64 - steps)
+        marks = [unit * j for j in (1, 1 << (steps - 1), (1 << steps) - 1)]
+        words = np.array([0, 2 ** 64 - 1, *marks, *(m - 1 for m in marks)], np.uint64)
+        for i in (0, 1, 1 << (steps - 1), (1 << steps) - 1, 1 << steps):
+            assert np.array_equal(words >> np.uint64(64 - steps) < np.uint64(i),
+                                  _hits(words.copy(), math.ldexp(i, -steps))), (steps, i)
 
 
 def test_estimate_p_alpha_with_no_step_draws_nothing():
