@@ -174,8 +174,10 @@ def _cmd_threshold(args) -> int:
           f"structure={spec.dumps()} trials={args.trials} seed={args.seed} "
           f"ptol={args.ptol}")
     est = estimate_p_alpha(spec, event, args.alpha, args.trials, args.seed, args.ptol)
-    print(f"pAlpha={_fmt(est.p_hat)} bracket=[{_fmt(est.ci_low)}, "
-          f"{_fmt(est.ci_high)}] totalTrials={est.trials}")
+    # The bracket ends in round-trip form: a bracket narrower than 7
+    # significant digits would print both ends alike.
+    print(f"pAlpha={_fmt(est.p_hat)} bracket=[{est.ci_low!r}, {est.ci_high!r}] "
+          f"totalTrials={est.trials}")
     return 0
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -65,8 +64,16 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 
 
 def _bits(mask: np.ndarray) -> int:
-    """``mask`` as a Python-int bitset, one bit per cell in flat order."""
-    return int.from_bytes(np.packbits(mask).tobytes(), "big")
+    """``mask`` as a Python-int bitset: bit v is the cell of flat index v."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _ids(bits: int):
+    """The set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 class _Piece:
@@ -76,70 +83,150 @@ class _Piece:
 
     __slots__ = ("closed", "proj", "near", "rect")
 
-    def __init__(self, spec: StructureSpec, closed: np.ndarray):
-        self.closed = closed
+    def __init__(self, closed: np.ndarray, proj: int, near: int, rect: Rectangle):
+        self.closed, self.proj, self.near, self.rect = closed, proj, near, rect
+
+    @classmethod
+    def of(cls, spec: StructureSpec, closed: np.ndarray) -> "_Piece":
+        """The piece whose closure is the mask ``closed``."""
         proj = closed.any(axis=tuple(range(spec.d, closed.ndim)))
-        self.proj = _bits(proj)
-        self.near = _bits(_dilate(proj))
-        self.rect = _rectangle(label_boxes(proj[None].view(np.int8))[0])
+        return cls(closed, _bits(proj), _bits(_dilate(proj)),
+                   _rectangle(label_boxes(proj[None].view(np.int8))[0]))
 
 
-def _next_merge(spec: StructureSpec,
-                pieces: list[_Piece]) -> tuple[tuple[int, ...], np.ndarray] | None:
-    """The next merge of ``span_main_algorithm`` as ``(indices, closed)``,
-    ``closed`` the closure of the union of those pieces; None if none is left.
+def _singletons(spec: StructureSpec, cells: CellSet) -> list[_Piece]:
+    """The pieces of A's cells, one a cell, in canonical (flat) order.
 
-    Operation (a) is the first pair of pieces whose projected closures
-    touch.  Operation (b), tried when no pair touches, is the first subset of
-    least size (at most r + ell) whose joint closure exceeds the union of its
-    pieces.  It tries only subsets in which every two pieces' ``near`` meet,
-    and loses nothing by it.  Let c be the first cell that the joint closure
-    of a least growing subset adds.  The pieces that hold c's neighbours add
-    c by themselves, so they grow too, and as the subset is least (a single
-    piece is closed, so it never grows) they are all of it.  So c has a
-    neighbour in every piece.  A neighbour's shadow (projection) is c's own
-    or next to it, so c's shadow lies in every piece's ``near``.
+    For r >= 2 a single cell is closed, since it gives a cell at most one
+    infected neighbour and every threshold is at least r.  So its piece is
+    read off the base grid: ``proj`` is the cell's shadow b and ``near`` adds
+    b's row of ``grid_tables``.
     """
-    def joint(indices: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        union = np.logical_or.reduce([pieces[i].closed for i in indices])
-        return union, closure_batch(spec, union[None])[0]
+    flat = np.flatnonzero(cells.mask)
+    singles = np.zeros((flat.size, cells.mask.size), dtype=bool)
+    singles[np.arange(flat.size), flat] = True
+    singles = singles.reshape((flat.size,) + cells.shape)
+    if spec.r == 1:
+        return [_Piece.of(spec, closed) for closed in closure_batch(spec, singles)]
+    base = spec.shape[:spec.d]
+    nbrs, _ = grid_tables(base)
+    shadows = flat // (cells.mask.size // nbrs.shape[0])
+    corners = map(tuple, (np.stack(np.unravel_index(shadows, base), axis=1) + 1).tolist())
+    return [_Piece(single, 1 << b, sum(1 << w for w in set(row) - {-1}) | 1 << b,
+                   Rectangle(corner, corner))
+            for single, b, row, corner in zip(singles, shadows.tolist(),
+                                              nbrs[shadows].tolist(), corners)]
 
-    for i, j in itertools.combinations(range(len(pieces)), 2):
-        if pieces[i].near & pieces[j].proj:
-            return (i, j), joint((i, j))[1]
-    for t in range(2, min(spec.r + spec.ell, len(pieces)) + 1):
-        for subset in itertools.combinations(range(len(pieces)), t):
-            # A list, not a generator: closing a generator that all() leaves
-            # early costs more than the pair tests.
-            pairs = itertools.combinations(subset, 2)
-            if all([pieces[i].near & pieces[j].near for i, j in pairs]):
-                union, closed = joint(subset)
-                if not np.array_equal(union, closed):
-                    return subset, closed
-    return None
+
+class _Pieces:
+    """The live pieces of the merge algorithm by ascending id, with the pair
+    relations that its steps read.
+
+    A merged piece takes the next id, so the order of ids is the order of
+    the piece list, in which the merged piece goes last.  Row i of
+    ``touch`` is the bitset of the higher live ids j with ``near_i &
+    proj_j``, and row i of ``meets`` those with ``near_i & near_j``.  A row
+    is computed the first time a step reads it; after that each merge
+    clears the merged ids from it and tests the new piece against it.
+    ``failed`` holds every subset of ids whose joint closure did not grow:
+    pieces never change, so it never will.
+    """
+
+    def __init__(self, spec: StructureSpec, pieces: list[_Piece]):
+        self.spec = spec
+        self.live = dict(enumerate(pieces))
+        self.next_id = len(pieces)
+        self.touch: dict[int, int] = {}
+        self.meets: dict[int, int] = {}
+        self.failed: set[tuple[int, ...]] = set()
+
+    def _row(self, rows: dict[int, int], key: str, i: int) -> int:
+        """Row i of ``rows``, whose pieces j meet i's ``near`` with their ``key`` bitset."""
+        row = rows.get(i)
+        if row is None:
+            near = self.live[i].near
+            row = rows[i] = sum(1 << j for j, q in self.live.items()
+                                if j > i and near & getattr(q, key))
+        return row
+
+    def _cliques(self, t: int, subset: tuple[int, ...], candidates: int):
+        """Every t-tuple of ascending live ids that extends ``subset`` by ids
+        of ``candidates`` and in which every two pieces' ``near`` meet, in
+        lexicographic order."""
+        for j in _ids(candidates):
+            if len(subset) + 1 == t:
+                yield subset + (j,)
+            else:
+                yield from self._cliques(t, subset + (j,),
+                                         candidates & self._row(self.meets, "near", j))
+
+    def _joint(self, ids: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The union of the pieces ``ids`` and its closure."""
+        union = np.logical_or.reduce([self.live[i].closed for i in ids])
+        return union, closure_batch(self.spec, union[None])[0]
+
+    def next_merge(self) -> tuple[tuple[int, ...], np.ndarray] | None:
+        """The ids of the next merge and the closure of their union; None if
+        none is left.
+
+        Operation (a) is the first pair of pieces whose projected closures
+        touch.  Operation (b), tried when no pair touches, is the first
+        subset of least size (at most r + ell) whose joint closure exceeds
+        the union of its pieces.  It tries only subsets in which every two
+        pieces' ``near`` meet, and loses nothing by it.  Let c be the first
+        cell that the joint closure of a least growing subset adds.  The
+        pieces that hold c's neighbours add c by themselves, so they grow
+        too, and as the subset is least (a single piece is closed, so it
+        never grows) they are all of it.  So c has a neighbour in every
+        piece.  A neighbour's shadow (projection) is c's own or next to it,
+        so c's shadow lies in every piece's ``near``.
+        """
+        for i in self.live:
+            if row := self._row(self.touch, "proj", i):
+                ids = (i, next(_ids(row)))
+                return ids, self._joint(ids)[1]
+        for t in range(2, min(self.spec.r + self.spec.ell, len(self.live)) + 1):
+            for ids in self._cliques(t, (), sum(1 << i for i in self.live)):
+                if ids not in self.failed:
+                    union, closed = self._joint(ids)
+                    if not np.array_equal(union, closed):
+                        return ids, closed
+                    self.failed.add(ids)
+        return None
+
+    def merge(self, ids: tuple[int, ...], closed: np.ndarray) -> _Piece:
+        """Replace the pieces ``ids`` by the piece whose closure is ``closed``."""
+        new, k = _Piece.of(self.spec, closed), self.next_id
+        self.next_id += 1
+        keep = ~sum(1 << i for i in ids)
+        for rows, key in ((self.touch, "proj"), (self.meets, "near")):
+            for i in ids:
+                rows.pop(i, None)
+            bit = getattr(new, key)
+            for i, row in rows.items():
+                rows[i] = row & keep | (1 << k if self.live[i].near & bit else 0)
+        for i in ids:
+            del self.live[i]
+        self.live[k] = new
+        return new
 
 
 def span_main_algorithm(spec: StructureSpec, cells: CellSet) -> SpanResult:
     """Compute <A> by merging pieces.
 
-    Starts from singletons and applies ``_next_merge`` until none is left:
-    (a) merge two pieces whose projected closures touch, else (b) merge a
-    minimal-size subset of pieces whose joint closure strictly exceeds the
-    union of their closures.  The merged piece goes to the end of the list.
-    The output rectangles equal span_direct's; the creation log records
-    every piece rectangle ever formed.
+    Starts from singletons and applies ``_Pieces.next_merge`` until none is
+    left: (a) merge two pieces whose projected closures touch, else (b)
+    merge a minimal-size subset of pieces whose joint closure strictly
+    exceeds the union of their closures.  The merged piece goes to the end
+    of the piece list.  The output rectangles equal span_direct's; the
+    creation log records every piece rectangle ever formed.
     """
     check_shape(spec, cells.shape)
-    # Singletons in canonical (flat) order.
-    flat_ids = np.arange(cells.mask.size).reshape(cells.shape)
-    pieces = [_Piece(spec, closure_batch(spec, (flat_ids == v)[None])[0])
-              for v in np.flatnonzero(cells.mask)]
-    log = [p.rect for p in pieces]
-    while (merge := _next_merge(spec, pieces)) is not None:
-        indices, closed = merge
-        pieces = [p for i, p in enumerate(pieces) if i not in indices] + [_Piece(spec, closed)]
-        log.append(pieces[-1].rect)
-    return SpanResult(tuple(p.rect for p in pieces), tuple(log))
+    pieces = _Pieces(spec, _singletons(spec, cells))
+    log = [p.rect for p in pieces.live.values()]
+    while (merge := pieces.next_merge()) is not None:
+        log.append(pieces.merge(*merge).rect)
+    return SpanResult(tuple(p.rect for p in pieces.live.values()), tuple(log))
 
 
 def internally_spans(spec: StructureSpec, rect: Rectangle, cells: CellSet) -> bool:

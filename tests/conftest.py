@@ -2,7 +2,7 @@ import signal
 
 import pytest
 
-DEADLINE_S = 120  # well above the slowest test, which takes about 3 s
+DEADLINE_S = 120  # well above the slowest test, which takes about 2 s
 
 
 def _expired(signum, frame):

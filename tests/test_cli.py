@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from bootperc.cli import main
+from bootperc.montecarlo import EventSpec, estimate_p_alpha
+from bootperc.structures import StructureSpec
 
 
 def run(capsys, *argv):
@@ -178,6 +180,20 @@ def test_threshold_output_is_pinned(capsys, tmp_path):
                        "--ptol", "0.01")
     assert code == 0
     assert out.splitlines()[-1] == "pAlpha=0.3632812 bracket=[0.359375, 0.3671875] totalTrials=500"
+
+
+def test_threshold_prints_a_narrow_bracket_exactly(capsys, tmp_path):
+    # A bracket 2**-52 wide: its ends agree to 15 significant digits.
+    struct = write_json(tmp_path, "s.json", {"family": "plain", "n": 4, "d": 2, "r": 2})
+    code, out, _ = run(capsys, "threshold", "--alpha", "0.5", "--structure", struct,
+                       "--event", "percolates", "--trials", "150", "--seed", "0",
+                       "--ptol", "3e-16")
+    assert code == 0
+    low, high = re.search(r"bracket=\[(\S+), (\S+)\]", out).groups()
+    assert low != high
+    spec = StructureSpec.plain(4, 2, 2)
+    est = estimate_p_alpha(spec, EventSpec("percolates", spec), 0.5, 150, 0, 3e-16)
+    assert (float(low), float(high)) == (est.ci_low, est.ci_high)
 
 
 def test_threshold_refuses_spans(capsys, tmp_path):

@@ -269,7 +269,8 @@ def reference_span_main_algorithm(spec, cells, exhaustive=False):
 
 
 # plain(5,3,2) has 125 vertices, not a multiple of 8; plain(12,2,2) has a
-# base grid of 144 cells, wider than two 64-bit words.
+# base grid of 144 cells, wider than two 64-bit words.  At r = 1 a single
+# cell is not closed, so the star and slab rows close their singletons.
 MERGE_SPECS = [
     (StructureSpec.plain(6, 2, 2), 0.18),
     (StructureSpec.plain(4, 3, 3), 0.25),
@@ -277,6 +278,8 @@ MERGE_SPECS = [
     (StructureSpec.star(5, 2, 1, 2), 0.1),
     (StructureSpec.plain(5, 3, 2), 0.06),
     (StructureSpec.plain(12, 2, 2), 0.06),
+    (StructureSpec.star(4, 2, 1, 1), 0.1),
+    (StructureSpec.slab(4, 2, 1, 3, 1), 0.1),
 ]
 
 
@@ -313,15 +316,17 @@ def test_main_algorithm_merges_a_three_piece_subset(spec, cells, merged):
         spec, a, exhaustive=True)
 
 
-def test_main_algorithm_equals_reference_on_a_full_closure():
-    spec = StructureSpec.plain(20, 2, 2)
+# The sizes of the span_witness witness grids, drawn until their closure is full.
+@pytest.mark.parametrize("n,cells", [(20, 40), (40, 110)])
+def test_main_algorithm_equals_reference_on_a_full_closure(n, cells):
+    spec = StructureSpec.plain(n, 2, 2)
     rng = np.random.default_rng(8)
     while True:
-        a = CellSet.from_mask((rng.permutation(spec.num_vertices) < 40).reshape(spec.shape))
+        a = CellSet.from_mask((rng.permutation(spec.num_vertices) < cells).reshape(spec.shape))
         if len(closure(spec, a)) == spec.num_vertices:
             break
     got = span_main_algorithm(spec, a)
-    assert got.rectangles == (Rectangle((1, 1), (20, 20)),)
+    assert got.rectangles == (Rectangle((1, 1), (n, n)),)
     assert (got.rectangles, got.creation_log) == reference_span_main_algorithm(spec, a)
 
 
