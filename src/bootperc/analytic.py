@@ -5,10 +5,12 @@ constant integral.
 b = 1 - (1-u)^k and c = u (1-u)^k; ``g(k, z) = -log(beta(k, 1 - e^-z))``;
 ``lambda_constant(d, r)`` integrates g(r-1, z^(d-r+1)) over (0, inf).
 
-Probabilities go through ``structures.check_probability`` and ranges through
+Probabilities go through ``rules.check_probability`` and ranges through
 ``check_number``'s bounds, which hold k, ell, z and d to at most
 ``_FLOAT_MAX``, so that no float conversion overflows.  Inputs are checked
 once, at the public call: the kernels ``_root`` and ``_g`` check nothing.
+Only ``l_exact`` uses numpy, and imports it when called, so the rest of the
+module loads none.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .structures import DomainError, check_number, check_probability, shown
+from .rules import DomainError, check_number, check_probability, shown
 
 _FLOAT_MAX = sys.float_info.max  # the largest k, ell, z or d: each converts to a float
 
@@ -116,6 +116,8 @@ def l_exact(ell: int, m: int, u: float) -> float:
     u = check_probability(u, "u")
     if m <= 0:
         return 1.0
+    import numpy as np
+
     w = (1.0 - u) ** (ell + 1)
     power = np.linalg.matrix_power(np.array([[1.0 - w, u * w], [1.0, 0.0]]), m)
     return float(power[0].sum())

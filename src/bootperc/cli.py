@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit status: 0 success, 1 domain/config error, 2 numeric/convergence error,
-3 I/O error.  Every run prints its resolved configuration (including the
-seed, where one is used) before the results.
+Exit status: 0 success, 1 domain/config error (a malformed command line
+included), 2 numeric/convergence error, 3 I/O error; an error prints one
+line.  Every run prints its resolved configuration (including the seed,
+where one is used) before the results.  A command that works on a lattice
+imports the lattice modules itself, so the scalar commands load no numpy.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .structures import CellSet, DomainError, Rectangle, StructureSpec, check_object
-from .dynamics import CrossDirection
+from .rules import DomainError, check_object
 from .analytic import (
     ConvergenceError,
     QuadratureSettings,
@@ -22,16 +24,10 @@ from .analytic import (
     lambda_constant,
     lambda_table,
 )
-from .montecarlo import (
-    EventSpec,
-    SweepConfig,
-    estimate_event_prob,
-    estimate_lgap,
-    estimate_p_alpha,
-    run_sweep,
-)
-from .span import find_spanned_component, find_spanned_rectangle, span_direct
-from . import dynamics
+
+if TYPE_CHECKING:
+    from .structures import CellSet, Rectangle, StructureSpec
+    from .montecarlo import EventSpec
 
 
 def _load_json(path: str) -> dict:
@@ -45,6 +41,8 @@ def _load_json(path: str) -> dict:
 
 
 def _load_grid(path: str) -> tuple[StructureSpec, CellSet]:
+    from .structures import CellSet, StructureSpec
+
     structure, infected = check_object(_load_json(path), f"grid file {path!r}",
                                       "structure", "infected")
     spec = StructureSpec.from_json(structure)
@@ -52,6 +50,8 @@ def _load_grid(path: str) -> tuple[StructureSpec, CellSet]:
 
 
 def _parse_rect(text: str) -> Rectangle:
+    from .structures import Rectangle
+
     try:
         parts = [int(x) for x in text.replace(";", ",").split(",")]
     except ValueError as exc:
@@ -63,6 +63,9 @@ def _parse_rect(text: str) -> Rectangle:
 
 
 def _build_event(args, spec: StructureSpec) -> EventSpec:
+    from .dynamics import CrossDirection
+    from .montecarlo import EventSpec
+
     kind = args.event.replace("-", "_")
     rect = _parse_rect(args.rect) if args.rect else None
     direction = CrossDirection.from_name(args.orientation) if args.orientation else None
@@ -118,6 +121,8 @@ def _cmd_lgap(args) -> int:
     if args.trials is None or args.seed is None:
         raise DomainError("Monte Carlo lgap needs --trials and --seed "
                           "(or pass --exact)")
+    from .montecarlo import estimate_lgap
+
     print(f"config: lgap mc ell={args.ell} m={args.m} u={args.u} "
           f"trials={args.trials} seed={args.seed}")
     est = estimate_lgap(args.ell, args.m, args.u, args.trials, args.seed)
@@ -127,15 +132,19 @@ def _cmd_lgap(args) -> int:
 
 
 def _cmd_closure(args) -> int:
+    from .dynamics import closure
+
     spec, cells = _load_grid(args.input)
     print(f"config: closure structure={spec.dumps()} |A|={len(cells)}")
-    closed = dynamics.closure(spec, cells)
+    closed = closure(spec, cells)
     print(json.dumps({"closure": closed.to_json(),
                       "percolates": bool(closed.mask.all())}))
     return 0
 
 
 def _cmd_span(args) -> int:
+    from .span import span_direct
+
     spec, cells = _load_grid(args.input)
     print(f"config: span structure={spec.dumps()} |A|={len(cells)}")
     result = span_direct(spec, cells)
@@ -144,6 +153,8 @@ def _cmd_span(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .span import find_spanned_component, find_spanned_rectangle
+
     spec, cells = _load_grid(args.input)
     print(f"config: witness structure={spec.dumps()} |A|={len(cells)} L={args.L}")
     rect = find_spanned_rectangle(spec, cells, args.L)
@@ -156,6 +167,9 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from .montecarlo import estimate_event_prob
+    from .structures import StructureSpec
+
     spec = StructureSpec.from_json(_load_json(args.structure))
     event = _build_event(args, spec)
     print(f"config: estimate event={json.dumps(event.to_json())} "
@@ -168,6 +182,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    from .montecarlo import estimate_p_alpha
+    from .structures import StructureSpec
+
     spec = StructureSpec.from_json(_load_json(args.structure))
     event = _build_event(args, spec)
     print(f"config: threshold alpha={args.alpha} event={json.dumps(event.to_json())} "
@@ -182,6 +199,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .montecarlo import SweepConfig, run_sweep
+
     config = SweepConfig.from_json(_load_json(args.config))
     print(f"config: sweep points={len(config.points)} "
           f"masterSeed={config.master_seed} out={args.out}")
@@ -190,18 +209,24 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are DomainErrors: one line and exit 1."""
+
+    def error(self, message: str):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def _event_flags(sub) -> None:
     sub.add_argument("--rect", help="rectangle as lo,hi coordinates, e.g. 1,1,4,3")
     sub.add_argument("--axis", type=int, help="semi-crossing axis (1-based)")
     sub.add_argument("--orientation",
-                     choices=sorted(CrossDirection._NAMES),
-                     help="crossing orientation")
+                     help="crossing orientation, such as left-to-right")
     sub.add_argument("--long-threshold", dest="long_threshold", type=float,
                      help="length threshold for the long-span event")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bootperc",
         description="Bootstrap percolation engine and threshold-constant library.")
     subs = parser.add_subparsers(dest="command", required=True)

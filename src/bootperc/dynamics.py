@@ -40,18 +40,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .rules import DomainError, check_flag, check_number
 from .structures import (
     NEVER,
     STAR,
     SLAB,
     CellSet,
-    DomainError,
     Rectangle,
     StructureSpec,
     check_arity,
     check_cells,
-    check_flag,
-    check_number,
     check_rectangle,
     check_shape,
     check_sides,
@@ -88,7 +86,8 @@ class CrossDirection:
     def from_name(name: str) -> "CrossDirection":
         # An unhashable name is unknown too.
         if not (isinstance(name, str) and name in CrossDirection._NAMES):
-            raise DomainError(f"unknown crossing direction {name!r}")
+            known = ", ".join(CrossDirection._NAMES)
+            raise DomainError(f"unknown crossing direction {name!r}, not one of {known}")
         return CrossDirection(*CrossDirection._NAMES[name])
 
 

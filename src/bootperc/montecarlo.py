@@ -37,15 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import DomainError, check_number, check_object, check_probability
 from .structures import (
     MAX_VERTICES,
     CellSet,
-    DomainError,
     Rectangle,
     StructureSpec,
-    check_number,
-    check_object,
-    check_probability,
     check_rectangle,
     check_sides,
 )

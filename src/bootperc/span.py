@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import check_number
 from .structures import (
     CellSet,
     Rectangle,
     StructureSpec,
-    check_number,
     check_shape,
     grid_tables,
     label_boxes,

@@ -1,18 +1,13 @@
 """Lattice bootstrap structures: coordinates, thresholds, adjacency, geometry, labelling.
 
-Each rule on inputs is written once here: ``check_number`` for numbers (a
-bool, NaN or string is refused), the only cast of an integer input (a float
-is refused too) and the range rule (a closed [lo, hi], each bound optional),
-``check_probability`` for a probability (a number in [0, 1]), ``check_flag``
-for a flag, ``check_sides`` for a grid shape (integer sides >= 0 within the
-structure budget: at most ``MAX_AXES`` axes and ``MAX_VERTICES`` cells),
-``check_coord`` for coordinates (with ``check_arity`` its part short of
-bounds, also the rule for a list of axes), ``check_cells`` for a cell list,
-``check_shape`` for a cell set's membership in a grid, ``check_rectangle``
-for a rectangle of a structure and ``check_object`` for a JSON object, its
-required fields and the keys it may hold (the only reader of them: a
-structure, an event, a sweep config and its grid entries, and a grid file);
-``shown`` quotes a refused number in a message.  Each type refuses its own
+Each rule on lattice inputs is written once here: ``check_sides`` for a
+grid shape (integer sides >= 0 within the structure budget: at most
+``MAX_AXES`` axes and ``MAX_VERTICES`` cells), ``check_coord`` for
+coordinates (with ``check_arity`` its part short of bounds, also the rule
+for a list of axes), ``check_cells`` for a cell list, ``check_shape`` for a
+cell set's membership in a grid and ``check_rectangle`` for a rectangle of
+a structure.  The rules on numbers, probabilities, flags and JSON objects
+are in ``rules``, which loads no numpy.  Each type refuses its own
 malformed input with a DomainError: ``CellSet`` a cell list that is not
 iterable (``check_cells``), ``Rectangle.from_json`` anything but a
 ``[lo, hi]`` pair, and ``StructureSpec`` a structure of more than
@@ -33,13 +28,14 @@ from __future__ import annotations
 
 import json
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .rules import DomainError, check_number, check_object, shown
 
 Coord = tuple[int, ...]
 
@@ -60,74 +56,6 @@ MAX_AXES = next(a for a in range(64) if 3 ** (a + 2) > MAX_VERTICES)
 # axes, so a cell has at most 2 * MAX_AXES = 24 neighbours.  Counts and
 # thresholds are uint8.
 NEVER = 255
-
-
-class DomainError(ValueError):
-    """Invalid argument: out-of-bounds coordinate, bad parameter, etc."""
-
-
-def check_number(value, name: str, kind=numbers.Real, lo=None, hi=None):
-    """The number rule: a ``kind`` that is not a bool or NaN, so JSON's true,
-    "1" and a NaN are refused, in the closed range [lo, hi], each bound
-    checked only when given.  Returns the value, an integer as a Python int
-    and a numpy float as a Python float.  A strict bound (alpha in (0, 1),
-    z > 0) is no closed range, and ``check_coord`` and ``check_sides`` refuse
-    a coordinate or shape whole, so those stay with their callers.  The
-    bounds default to None, not infinities, since an int compares with a
-    float several times slower."""
-    if type(value) is not int:
-        if isinstance(value, bool) or not isinstance(value, kind) or value != value:
-            noun = "an integer" if kind is numbers.Integral else "a number"
-            raise DomainError(f"{name} must be {noun}, not {value!r}")
-        if kind is numbers.Integral or isinstance(value, np.integer):
-            value = operator.index(value)
-        elif isinstance(value, np.floating):
-            value = float(value)  # a float32 would cast a float64 bound and overflow
-    if lo is not None and value < lo or hi is not None and value > hi:
-        low = "(-inf" if lo is None else f"[{shown(lo)}"
-        high = "inf)" if hi is None else f"{shown(hi)}]"
-        raise DomainError(f"{name} = {shown(value)} outside {low}, {high}")
-    return value
-
-
-def check_probability(value, name: str) -> float:
-    """The probability rule: a number (``check_number``) in [0, 1].  Returns it as a float."""
-    return float(check_number(value, name, lo=0, hi=1))
-
-
-def check_flag(value, name: str) -> bool:
-    """The flag rule: a bool, so 0, None and "no" are refused.  Returns it as a bool."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise DomainError(f"{name} must be true or false, not {value!r}")
-    return bool(value)
-
-
-def shown(value) -> str:
-    """``value`` as an error message quotes it.  An integer past Python's
-    limit on ``str(int)`` (4300 digits), alone or in a tuple or list, is
-    quoted by its bit length instead.  Call it only on the error path."""
-    try:
-        return str(value)
-    except ValueError:
-        if isinstance(value, (tuple, list)):
-            inner = ", ".join(map(shown, value))
-            return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
-        return f"{'-' if value < 0 else ''}<integer of {abs(value).bit_length()} bits>"
-
-
-def check_object(obj, what: str, *names: str, optional: tuple[str, ...] = ()) -> list:
-    """The JSON-object rule: ``obj`` is a dict that holds each of ``names``
-    and no key but those and ``optional``.  ``what`` names the reader in
-    the message.  Returns the values of ``names`` in order."""
-    if not isinstance(obj, dict):
-        raise DomainError(f"{what} must be a JSON object, not {type(obj).__name__}")
-    for key in obj:
-        if key not in names and key not in optional:
-            raise DomainError(f"{what} has an unknown key {key!r}")
-    for name in names:
-        if name not in obj:
-            raise DomainError(f"{what} has no {name!r}")
-    return [obj[name] for name in names]
 
 
 def check_sides(sides: Sequence[int]) -> tuple[int, ...]:

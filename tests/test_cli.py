@@ -449,6 +449,30 @@ def test_number_outside_its_rule_is_config_error(capsys, tmp_path, argv):
     assert_clean_config_error(*run(capsys, *[struct if a == "S" else a for a in argv]))
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["beta", "--k", "abc", "--u", "0.3"], "bootperc beta: argument --k: invalid int value: 'abc'"),
+    (["beta", "--k", "2"], "bootperc beta: the following arguments are required: --u"),
+    (["no-such-command"], "bootperc: argument command: invalid choice: 'no-such-command'"),
+    (["estimate", "--event", "crossed", "--rect", "1,1,3,3", "--structure", "S", "--p", "0.3",
+      "--trials", "5", "--seed", "1", "--orientation", "sideways"],
+     "unknown crossing direction 'sideways', not one of left-to-right, "),
+], ids=["bad-int", "missing-flag", "unknown-command", "unknown-orientation"])
+def test_malformed_command_line_is_config_error(capsys, tmp_path, argv, message):
+    # argparse printed its usage block and exited 2, the code of a numeric
+    # error.
+    struct = write_json(tmp_path, "s.json", {"family": "plain", "n": 3, "d": 2, "r": 2})
+    code, out, err = run(capsys, *[struct if a == "S" else a for a in argv])
+    assert_clean_config_error(code, out, err)
+    assert err.startswith(f"error: {message}")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["beta", "-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bootperc beta")
+
+
 PLAIN4 = {"family": "plain", "n": 4, "d": 2, "r": 2}
 POINT = {"structure": PLAIN4, "event": {"kind": "percolates"}, "p": 0.3, "trials": 10}
 
